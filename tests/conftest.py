@@ -9,6 +9,8 @@ from repro.core.power_model import FAPowerModel
 from repro.designs.registry import get_design
 from repro.expr.ast import Var
 from repro.expr.signals import SignalSpec
+from repro.netlist.cells import CellType
+from repro.netlist.core import Netlist
 from repro.tech.default_libs import generic_035, unit_library
 
 
@@ -79,3 +81,39 @@ def subtract_design():
 def x2_design():
     """The paper's smallest benchmark (X^2 with a 3-bit X)."""
     return get_design("x2")
+
+
+def all_celltype_netlist() -> Netlist:
+    """One instance of every cell type, plus constant and shared fanout nets."""
+    netlist = Netlist("zoo")
+    a = netlist.add_input("a")
+    b = netlist.add_input("b")
+    c = netlist.add_input("c")
+    d = netlist.add_input("d")
+    one = netlist.const(1)
+    zero = netlist.const(0)
+
+    netlist.add_cell(CellType.FA, {"a": a, "b": b, "cin": c})
+    netlist.add_cell(CellType.HA, {"a": c, "b": d})
+    netlist.add_cell(CellType.AND2, {"a": a, "b": one})
+    netlist.add_cell(CellType.NAND2, {"a": a, "b": b})
+    netlist.add_cell(CellType.OR2, {"a": b, "b": zero})
+    netlist.add_cell(CellType.NOR2, {"a": c, "b": d})
+    xor2 = netlist.add_cell(CellType.XOR2, {"a": a, "b": c})
+    netlist.add_cell(CellType.XNOR2, {"a": b, "b": d})
+    netlist.add_cell(CellType.NOT, {"a": a})
+    netlist.add_cell(CellType.BUF, {"a": xor2.outputs["y"]})
+    netlist.add_cell(CellType.MUX2, {"a": a, "b": b, "sel": c})
+    netlist.add_cell(CellType.AOI21, {"a": a, "b": b, "c": c})
+    netlist.add_cell(CellType.OAI21, {"a": b, "b": c, "c": d})
+    netlist.add_cell(CellType.AOI22, {"a": a, "b": b, "c": c, "d": d})
+    netlist.add_cell(CellType.XOR3, {"a": a, "b": b, "c": d})
+    maj = netlist.add_cell(CellType.MAJ3, {"a": a, "b": c, "c": d})
+    netlist.set_output(maj.outputs["y"])
+    return netlist
+
+
+@pytest.fixture()
+def zoo_netlist():
+    """A fresh :func:`all_celltype_netlist` (tests may mutate it)."""
+    return all_celltype_netlist()

@@ -16,36 +16,6 @@ from repro.sim.program import cached_program, compile_netlist_program
 from repro.sim.vectors import random_vectors
 
 
-def _all_celltype_netlist() -> Netlist:
-    """One instance of every cell type, plus constant and shared fanout nets."""
-    netlist = Netlist("zoo")
-    a = netlist.add_input("a")
-    b = netlist.add_input("b")
-    c = netlist.add_input("c")
-    d = netlist.add_input("d")
-    one = netlist.const(1)
-    zero = netlist.const(0)
-
-    netlist.add_cell(CellType.FA, {"a": a, "b": b, "cin": c})
-    netlist.add_cell(CellType.HA, {"a": c, "b": d})
-    netlist.add_cell(CellType.AND2, {"a": a, "b": one})
-    netlist.add_cell(CellType.NAND2, {"a": a, "b": b})
-    netlist.add_cell(CellType.OR2, {"a": b, "b": zero})
-    netlist.add_cell(CellType.NOR2, {"a": c, "b": d})
-    xor2 = netlist.add_cell(CellType.XOR2, {"a": a, "b": c})
-    netlist.add_cell(CellType.XNOR2, {"a": b, "b": d})
-    netlist.add_cell(CellType.NOT, {"a": a})
-    netlist.add_cell(CellType.BUF, {"a": xor2.outputs["y"]})
-    netlist.add_cell(CellType.MUX2, {"a": a, "b": b, "sel": c})
-    netlist.add_cell(CellType.AOI21, {"a": a, "b": b, "c": c})
-    netlist.add_cell(CellType.OAI21, {"a": b, "b": c, "c": d})
-    netlist.add_cell(CellType.AOI22, {"a": a, "b": b, "c": c, "d": d})
-    netlist.add_cell(CellType.XOR3, {"a": a, "b": b, "c": d})
-    maj = netlist.add_cell(CellType.MAJ3, {"a": a, "b": c, "c": d})
-    netlist.set_output(maj.outputs["y"])
-    return netlist
-
-
 def _pack_vectors(vectors):
     """Per-input packed words (bit k of a word = that input in vector k)."""
     packed = {}
@@ -56,8 +26,8 @@ def _pack_vectors(vectors):
 
 
 class TestCompiledProgramSemantics:
-    def test_every_celltype_matches_interpreter_exhaustively(self):
-        netlist = _all_celltype_netlist()
+    def test_every_celltype_matches_interpreter_exhaustively(self, zoo_netlist):
+        netlist = zoo_netlist
         used = {instr[0] for instr in compile_netlist_program(netlist).instructions}
         assert used == {ct.value for ct in CellType}
 
@@ -95,8 +65,8 @@ class TestCompiledProgramSemantics:
             for name, bit in reference.items():
                 assert (values[name] >> k) & 1 == bit, (name, k)
 
-    def test_missing_primary_input_rejected(self):
-        netlist = _all_celltype_netlist()
+    def test_missing_primary_input_rejected(self, zoo_netlist):
+        netlist = zoo_netlist
         program = cached_program(netlist)
         with pytest.raises(SimulationError, match="missing values"):
             program.run_packed({"a": 1, "b": 0}, 1)
@@ -112,8 +82,8 @@ class TestCompiledProgramSemantics:
 
 
 class TestProgramCache:
-    def test_cache_hit_until_mutation(self):
-        netlist = _all_celltype_netlist()
+    def test_cache_hit_until_mutation(self, zoo_netlist):
+        netlist = zoo_netlist
         tracer = obs.Tracer()
         with obs.tracing(tracer):
             first = cached_program(netlist)
@@ -147,8 +117,8 @@ class TestProgramCache:
         assert recompiled.const_slots == fresh.const_slots
         assert recompiled.source == fresh.source
 
-    def test_slot_order_is_pis_then_consts_then_topo_outputs(self):
-        netlist = _all_celltype_netlist()
+    def test_slot_order_is_pis_then_consts_then_topo_outputs(self, zoo_netlist):
+        netlist = zoo_netlist
         program = compile_netlist_program(netlist)
         names = [n.name for n in netlist.primary_inputs]
         assert [name for name, _ in program.pi_slots] == names
@@ -161,8 +131,8 @@ class TestProgramCache:
 
 
 class TestTopologicalCache:
-    def test_order_cached_until_mutation(self):
-        netlist = _all_celltype_netlist()
+    def test_order_cached_until_mutation(self, zoo_netlist):
+        netlist = zoo_netlist
         first = netlist.topological_cells()
         assert netlist.topological_cells() is first
         index = netlist.topological_index()
