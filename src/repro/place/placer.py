@@ -236,8 +236,10 @@ def anneal(
             delta = _trial_delta(net_pins, cell_nets, net_cost, origins, (cell,))
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
                 total += _commit_nets(net_pins, cell_nets, net_cost, origins, (cell,))
+                # free the old span first: it may overlap the new one
                 for offset in range(width):
                     occupancy[old[0]][old[1] + offset] = None
+                for offset in range(width):
                     occupancy[row][col + offset] = cell
                 stats.accepted += 1
                 stats.relocations += 1

@@ -126,6 +126,26 @@ class TestPlacer:
             )
 
 
+class TestRelocateOverlap:
+    """A relocate within a cell's own span must not free sites it claims.
+
+    x2 mapped onto ``aoi_rich`` for area places wide cells densely enough
+    that seeds 15 and 16 once moved a cell onto sites a previous relocate
+    had wrongly freed, which the validator rejects as an overlap.
+    """
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_aoi_rich_area_x2_places_legally(self, seed):
+        config = FlowConfig(
+            opt_level=2,
+            target_lib="aoi_rich",
+            map_objective="area",
+            place=True,
+            place_seed=seed,
+        )
+        assert Flow(config).run("x2").place_report.validation_findings == 0
+
+
 class TestValidator:
     def _placed(self, netlist):
         return greedy_initial_placement(netlist, auto_size(netlist))
