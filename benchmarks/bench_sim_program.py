@@ -22,8 +22,7 @@ from benchmarks.conftest import save_report
 from repro import obs
 from repro.designs.registry import get_design
 from repro.flows.synthesis import synthesize
-from repro.netlist.cells import cell_input_ports, cell_output_ports
-from repro.sim.evaluator import _evaluate_cell_packed
+from repro.netlist.cells import cell_semantics
 from repro.sim.program import cached_program
 from repro.sim.vectors import random_vectors
 from repro.utils.tables import TextTable
@@ -50,13 +49,11 @@ def _interpreted_sweep(netlist, packed, mask):
         if net.is_constant:
             values[net.name] = mask if net.const_value else 0
     for cell in netlist.topological_cells():
-        ins = {
-            port: values[cell.inputs[port].name]
-            for port in cell_input_ports(cell.cell_type)
-        }
-        outs = _evaluate_cell_packed(cell.cell_type, ins, mask)
-        for port in cell_output_ports(cell.cell_type):
-            values[cell.outputs[port].name] = outs[port]
+        semantics = cell_semantics(cell.cell_type)
+        ins = [values[cell.inputs[port].name] for port in semantics.inputs]
+        outs = semantics.word(mask, *ins)
+        for port, word in zip(semantics.outputs, outs):
+            values[cell.outputs[port].name] = word
     return values
 
 

@@ -3,11 +3,12 @@
 The paper's flow emits the allocated FA-tree as a Verilog netlist which is
 then fed to a commercial logic synthesizer.  This module reproduces that
 interface: it turns a :class:`~repro.netlist.core.Netlist` into a
-self-contained structural Verilog file.  Primitive gates are emitted as
-Verilog primitives (``and``, ``or``, ...); full and half adders are emitted as
-instances of ``REPRO_FA`` / ``REPRO_HA`` modules whose gate-level definitions
-are appended to the output, so the file elaborates without an external
-library.
+self-contained structural Verilog file.  Cell types equal to a Verilog
+primitive (``and``, ``nor``, ...) are emitted as that primitive; every other
+type (full and half adders, MUX2, the complex gates) is emitted as an
+instance of a ``REPRO_<type>`` module whose definition is rendered from the
+cell type's expressions and appended to the output, so the file elaborates
+without an external library.
 """
 
 from __future__ import annotations
@@ -15,96 +16,22 @@ from __future__ import annotations
 import re
 from typing import Dict, List
 
-from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import CellType, cell_semantics
 from repro.netlist.core import Net, Netlist
 
-_FA_MODULE = """
-module REPRO_FA(input a, input b, input cin, output s, output co);
-  assign s  = a ^ b ^ cin;
-  assign co = (a & b) | (a & cin) | (b & cin);
-endmodule
-""".strip()
-
-_HA_MODULE = """
-module REPRO_HA(input a, input b, output s, output co);
-  assign s  = a ^ b;
-  assign co = a & b;
-endmodule
-""".strip()
-
-_MUX_MODULE = """
-module REPRO_MUX2(input a, input b, input sel, output y);
-  assign y = sel ? b : a;
-endmodule
-""".strip()
-
-_AOI_MODULE = """
-module REPRO_AOI21(input a, input b, input c, output y);
-  assign y = ~((a & b) | c);
-endmodule
-""".strip()
-
-_OAI_MODULE = """
-module REPRO_OAI21(input a, input b, input c, output y);
-  assign y = ~((a | b) & c);
-endmodule
-""".strip()
-
-_AOI22_MODULE = """
-module REPRO_AOI22(input a, input b, input c, input d, output y);
-  assign y = ~((a & b) | (c & d));
-endmodule
-""".strip()
-
-_XOR3_MODULE = """
-module REPRO_XOR3(input a, input b, input c, output y);
-  assign y = a ^ b ^ c;
-endmodule
-""".strip()
-
-_MAJ3_MODULE = """
-module REPRO_MAJ3(input a, input b, input c, output y);
-  assign y = (a & b) | (a & c) | (b & c);
-endmodule
-""".strip()
-
-#: cell types emitted as Verilog gate primitives: type -> primitive name
-_PRIMITIVES: Dict[CellType, str] = {
-    CellType.AND2: "and",
-    CellType.NAND2: "nand",
-    CellType.OR2: "or",
-    CellType.NOR2: "nor",
-    CellType.XOR2: "xor",
-    CellType.XNOR2: "xnor",
-    CellType.NOT: "not",
-    CellType.BUF: "buf",
-}
-
-#: cell types emitted as helper-module instances: type -> module name
-_MODULES: Dict[CellType, str] = {
-    CellType.FA: "REPRO_FA",
-    CellType.HA: "REPRO_HA",
-    CellType.MUX2: "REPRO_MUX2",
-    CellType.AOI21: "REPRO_AOI21",
-    CellType.OAI21: "REPRO_OAI21",
-    CellType.AOI22: "REPRO_AOI22",
-    CellType.XOR3: "REPRO_XOR3",
-    CellType.MAJ3: "REPRO_MAJ3",
-}
-
-#: gate-level definition text of each helper module, in emission order
-_MODULE_TEXTS: Dict[CellType, str] = {
-    CellType.FA: _FA_MODULE,
-    CellType.HA: _HA_MODULE,
-    CellType.MUX2: _MUX_MODULE,
-    CellType.AOI21: _AOI_MODULE,
-    CellType.OAI21: _OAI_MODULE,
-    CellType.AOI22: _AOI22_MODULE,
-    CellType.XOR3: _XOR3_MODULE,
-    CellType.MAJ3: _MAJ3_MODULE,
-}
-
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def _module_text(cell_type: CellType) -> str:
+    """Gate-level helper module of a cell type with no Verilog primitive."""
+    semantics = cell_semantics(cell_type)
+    ports = [f"input {p}" for p in semantics.inputs]
+    ports += [f"output {p}" for p in semantics.outputs]
+    width = max(len(p) for p in semantics.outputs)
+    assigns = [f"  assign {port.ljust(width)} = {expression};"
+               for port, expression in zip(semantics.outputs, semantics.verilog_expressions)]
+    header = f"module REPRO_{cell_type.value}({', '.join(ports)});"
+    return "\n".join([header, *assigns, "endmodule"])
 
 
 def _escape(name: str) -> str:
@@ -125,8 +52,8 @@ def to_verilog(netlist: Netlist, module_name: str = None) -> str:
     """Render ``netlist`` as a structural Verilog description.
 
     The top module exposes every primary input and output as a scalar port
-    (bit ``name[i]`` becomes port ``name_i``); helper modules for FA/HA/MUX
-    cells are appended after the top module when used.
+    (bit ``name[i]`` becomes port ``name_i``); helper modules for cell types
+    without a Verilog primitive are appended after the top module when used.
     """
     module_name = module_name or netlist.name or "top"
     port_names: Dict[str, str] = {}
@@ -176,30 +103,22 @@ def to_verilog(netlist: Netlist, module_name: str = None) -> str:
 
     used_modules = set()
     for cell in netlist.topological_cells():
-        ctype = cell.cell_type
+        semantics = cell_semantics(cell.cell_type)
         instance = _escape(cell.name)
-        if ctype in _PRIMITIVES:
-            primitive = _PRIMITIVES[ctype]
-            out_net = cell.outputs[cell_output_ports(ctype)[0]]
-            in_refs = ", ".join(_net_ref(cell.inputs[p]) for p in cell_input_ports(ctype))
-            lines.append(f"  {primitive} {instance}({_net_ref(out_net)}, {in_refs});")
-        elif ctype in _MODULES:
-            used_modules.add(ctype)
-            module = _MODULES[ctype]
-            bindings = []
-            for port in cell_input_ports(ctype):
-                bindings.append(f".{port}({_net_ref(cell.inputs[port])})")
-            for port in cell_output_ports(ctype):
-                bindings.append(f".{port}({_net_ref(cell.outputs[port])})")
-            lines.append(f"  {module} {instance}({', '.join(bindings)});")
-        else:  # pragma: no cover - defensive; all cell types are covered above
-            raise ValueError(f"no Verilog mapping for cell type {ctype}")
+        if semantics.verilog_primitive:
+            out_ref = _net_ref(cell.outputs[semantics.outputs[0]])
+            in_refs = ", ".join(_net_ref(cell.inputs[p]) for p in semantics.inputs)
+            lines.append(f"  {semantics.verilog_primitive} {instance}({out_ref}, {in_refs});")
+        else:
+            used_modules.add(cell.cell_type)
+            bindings = [f".{p}({_net_ref(cell.inputs[p])})" for p in semantics.inputs]
+            bindings += [f".{p}({_net_ref(cell.outputs[p])})" for p in semantics.outputs]
+            lines.append(f"  REPRO_{cell.cell_type.value} {instance}({', '.join(bindings)});")
 
     lines.append("endmodule")
 
-    for cell_type, text in _MODULE_TEXTS.items():
+    for cell_type in CellType:
         if cell_type in used_modules:
-            lines.append("")
-            lines.append(text)
+            lines += ["", _module_text(cell_type)]
     lines.append("")
     return "\n".join(lines)

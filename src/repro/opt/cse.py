@@ -7,48 +7,26 @@ later duplicate is retired in favour of the first occurrence.  Because
 merges rewire fanout *before* downstream cells are visited, one sweep merges
 whole equivalent cones, not just single cells.
 
-Signatures are canonicalized for commutativity: the two-input gates, HA and
-FA (symmetric in all three inputs) sort their input nets, AOI21 sorts its
-AND-side pair, and MUX2 is order-sensitive.
+Signatures are canonicalized under each cell type's input symmetries
+(:attr:`repro.netlist.cells.CellSemantics.symmetries`): FA, HA, XOR3, MAJ3
+and the two-input gates sort their input nets, AOI21/OAI21 their ``a``/``b``
+pair, AOI22 within and between its pairs; MUX2 is order-sensitive.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import CellType, cell_output_ports, cell_semantics
 from repro.netlist.core import Cell, Netlist
 from repro.opt.base import RewritePass, retire_cell
-
-#: cell types whose inputs are fully interchangeable
-_COMMUTATIVE = frozenset(
-    {
-        CellType.AND2,
-        CellType.NAND2,
-        CellType.OR2,
-        CellType.NOR2,
-        CellType.XOR2,
-        CellType.XNOR2,
-        CellType.HA,
-        CellType.FA,
-        CellType.XOR3,
-        CellType.MAJ3,
-    }
-)
 
 
 def _signature(cell: Cell) -> Tuple:
     """Canonical structural signature of a cell (type + input net names)."""
-    names = [cell.inputs[p].name for p in cell_input_ports(cell.cell_type)]
-    if cell.cell_type in _COMMUTATIVE:
-        names = sorted(names)
-    elif cell.cell_type in (CellType.AOI21, CellType.OAI21):
-        names = sorted(names[:2]) + names[2:]
-    elif cell.cell_type is CellType.AOI22:
-        # (a&b)|(c&d): each pair commutes, and the two pairs commute
-        names = sorted([sorted(names[:2]), sorted(names[2:])])
-        names = names[0] + names[1]
-    return (cell.cell_type.value, tuple(names))
+    semantics = cell_semantics(cell.cell_type)
+    names = [cell.inputs[p].name for p in semantics.inputs]
+    return (cell.cell_type.value, semantics.canonical_inputs(names))
 
 
 class CommonSubexpressionPass(RewritePass):

@@ -3,7 +3,8 @@
 The model of Section 4.1: signals are random variables, spatial independence
 is assumed, gates have zero delay and glitches are ignored.  Probabilities are
 propagated topologically from the primary inputs; the switching activity of a
-signal is then ``p (1 - p)``.
+signal is then ``p (1 - p)``.  Cell output probabilities come from
+:attr:`repro.netlist.cells.CellSemantics.probability`.
 
 The independence assumption makes reconvergent fanout slightly inaccurate —
 that is a property of the paper's model, not an implementation shortcut; the
@@ -16,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Union
 
-from repro.core.power_model import fa_output_probabilities, ha_output_probabilities
 from repro.errors import NetlistError
-from repro.netlist.cells import CellType
-from repro.netlist.core import Cell, Net, Netlist
+from repro.netlist.cells import cell_semantics
+from repro.netlist.core import Net, Netlist
 
 ProbabilityMap = Mapping[Union[str, Net], float]
 
@@ -42,54 +42,6 @@ class ProbabilityResult:
         """Switching activity p(1-p) of the net."""
         probability = self.probability_of(net)
         return probability * (1.0 - probability)
-
-
-def _cell_output_probabilities(cell: Cell, p: Dict[str, float]) -> Dict[str, float]:
-    """Output probabilities of one cell given its input probabilities."""
-    cell_type = cell.cell_type
-    get = lambda port: p[cell.inputs[port].name]  # noqa: E731 - tiny local accessor
-
-    if cell_type is CellType.FA:
-        ps, pc = fa_output_probabilities(get("a"), get("b"), get("cin"))
-        return {"s": ps, "co": pc}
-    if cell_type is CellType.HA:
-        ps, pc = ha_output_probabilities(get("a"), get("b"))
-        return {"s": ps, "co": pc}
-    if cell_type is CellType.AND2:
-        return {"y": get("a") * get("b")}
-    if cell_type is CellType.NAND2:
-        return {"y": 1.0 - get("a") * get("b")}
-    if cell_type is CellType.OR2:
-        return {"y": get("a") + get("b") - get("a") * get("b")}
-    if cell_type is CellType.NOR2:
-        return {"y": 1.0 - (get("a") + get("b") - get("a") * get("b"))}
-    if cell_type is CellType.XOR2:
-        return {"y": get("a") + get("b") - 2.0 * get("a") * get("b")}
-    if cell_type is CellType.XNOR2:
-        return {"y": 1.0 - (get("a") + get("b") - 2.0 * get("a") * get("b"))}
-    if cell_type is CellType.NOT:
-        return {"y": 1.0 - get("a")}
-    if cell_type is CellType.BUF:
-        return {"y": get("a")}
-    if cell_type is CellType.MUX2:
-        sel = get("sel")
-        return {"y": (1.0 - sel) * get("a") + sel * get("b")}
-    if cell_type is CellType.AOI21:
-        inner = get("a") * get("b")
-        return {"y": 1.0 - (inner + get("c") - inner * get("c"))}
-    if cell_type is CellType.OAI21:
-        inner = get("a") + get("b") - get("a") * get("b")
-        return {"y": 1.0 - inner * get("c")}
-    if cell_type is CellType.AOI22:
-        left, right = get("a") * get("b"), get("c") * get("d")
-        return {"y": 1.0 - (left + right - left * right)}
-    if cell_type is CellType.XOR3:
-        p_ab = get("a") + get("b") - 2.0 * get("a") * get("b")
-        return {"y": p_ab + get("c") - 2.0 * p_ab * get("c")}
-    if cell_type is CellType.MAJ3:
-        pa, pb, pc = get("a"), get("b"), get("c")
-        return {"y": pa * pb + pa * pc + pb * pc - 2.0 * pa * pb * pc}
-    raise NetlistError(f"no probability model for cell type {cell_type}")  # pragma: no cover
 
 
 def propagate_probabilities(
@@ -128,8 +80,11 @@ def propagate_probabilities(
                 probabilities[net.name] = default_probability
 
     for cell in netlist.topological_cells():
-        outputs = _cell_output_probabilities(cell, probabilities)
-        for port, value in outputs.items():
+        semantics = cell_semantics(cell.cell_type)
+        outputs = semantics.probability(
+            *(probabilities[cell.inputs[port].name] for port in semantics.inputs)
+        )
+        for port, value in zip(semantics.outputs, outputs):
             probabilities[cell.outputs[port].name] = min(1.0, max(0.0, value))
 
     return ProbabilityResult(netlist_name=netlist.name, probabilities=probabilities)

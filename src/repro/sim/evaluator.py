@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Union
 
 from repro.errors import SimulationError
-from repro.netlist.cells import CellType, evaluate_cell
-from repro.netlist.core import Bus, Net, Netlist
+from repro.netlist.cells import evaluate_cell
+from repro.netlist.core import Bus, Netlist
 
 ValueMap = Dict[str, int]
 
@@ -141,54 +141,6 @@ class BatchValues:
         return results
 
 
-def _evaluate_cell_packed(
-    cell_type: CellType, ins: Mapping[str, int], mask: int
-) -> Dict[str, int]:
-    """Bitwise-parallel equivalent of :func:`evaluate_cell` on packed words.
-
-    ``mask`` has one bit set per vector; inversions are ``mask ^ x`` so the
-    result never carries bits outside the batch.
-    """
-    if cell_type is CellType.FA:
-        a, b, cin = ins["a"], ins["b"], ins["cin"]
-        axb = a ^ b
-        return {"s": axb ^ cin, "co": (a & b) | (cin & axb)}
-    if cell_type is CellType.HA:
-        a, b = ins["a"], ins["b"]
-        return {"s": a ^ b, "co": a & b}
-    if cell_type is CellType.AND2:
-        return {"y": ins["a"] & ins["b"]}
-    if cell_type is CellType.NAND2:
-        return {"y": mask ^ (ins["a"] & ins["b"])}
-    if cell_type is CellType.OR2:
-        return {"y": ins["a"] | ins["b"]}
-    if cell_type is CellType.NOR2:
-        return {"y": mask ^ (ins["a"] | ins["b"])}
-    if cell_type is CellType.XOR2:
-        return {"y": ins["a"] ^ ins["b"]}
-    if cell_type is CellType.XNOR2:
-        return {"y": mask ^ (ins["a"] ^ ins["b"])}
-    if cell_type is CellType.NOT:
-        return {"y": mask ^ ins["a"]}
-    if cell_type is CellType.BUF:
-        return {"y": ins["a"]}
-    if cell_type is CellType.MUX2:
-        sel = ins["sel"]
-        return {"y": (ins["b"] & sel) | (ins["a"] & (mask ^ sel))}
-    if cell_type is CellType.AOI21:
-        return {"y": mask ^ ((ins["a"] & ins["b"]) | ins["c"])}
-    if cell_type is CellType.OAI21:
-        return {"y": mask ^ ((ins["a"] | ins["b"]) & ins["c"])}
-    if cell_type is CellType.AOI22:
-        return {"y": mask ^ ((ins["a"] & ins["b"]) | (ins["c"] & ins["d"]))}
-    if cell_type is CellType.XOR3:
-        return {"y": ins["a"] ^ ins["b"] ^ ins["c"]}
-    if cell_type is CellType.MAJ3:
-        a, b, c = ins["a"], ins["b"], ins["c"]
-        return {"y": (a & b) | (c & (a | b))}
-    raise SimulationError(f"unknown cell type {cell_type!r}")
-
-
 def evaluate_vectors(
     netlist: Netlist,
     vectors: Sequence[Mapping[str, Union[int, Mapping[str, int]]]],
@@ -263,44 +215,9 @@ def evaluate_vectors(
     values: Dict[str, int] = {
         name: int.from_bytes(bits, "little") for name, bits in input_bits.items()
     }
-    return _evaluate_packed_values(netlist, values, mask, count)
-
-
-def _evaluate_packed_values(
-    netlist: Netlist, values: Dict[str, int], mask: int, count: int
-) -> BatchValues:
-    """Shared bit-parallel sweep: replay the netlist's compiled program."""
     from repro.sim.program import cached_program
 
     program = cached_program(netlist)
     slots = program.run_packed(values, mask)
     return BatchValues(values=program.values_dict(slots), count=count)
 
-
-def evaluate_packed(
-    netlist: Netlist, inputs: Mapping[str, int], count: int
-) -> BatchValues:
-    """Evaluate ``count`` vectors given as already-packed per-input words.
-
-    ``inputs`` maps every primary-input net name to one integer whose bit
-    ``k`` is that input's value in vector ``k`` — the same packing
-    :func:`evaluate_vectors` builds internally from per-vector dicts.
-    Callers that can construct the packed words directly (the netlist
-    equivalence checker enumerating exhaustive input patterns, for
-    instance) skip the whole per-vector dict round-trip.
-    """
-    if count == 0:
-        return BatchValues(values={}, count=0)
-    mask = (1 << count) - 1
-    values: Dict[str, int] = {}
-    for name, word in inputs.items():
-        net = netlist.nets.get(name)
-        if net is None or not net.is_primary_input:
-            raise SimulationError(f"unknown primary input {name!r}")
-        values[name] = word & mask
-    missing = [net.name for net in netlist.primary_inputs if net.name not in values]
-    if missing:
-        raise SimulationError(
-            f"missing values for {len(missing)} primary inputs (e.g. {missing[:5]})"
-        )
-    return _evaluate_packed_values(netlist, values, mask, count)

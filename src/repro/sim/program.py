@@ -4,16 +4,15 @@
 into a flat straight-line program over an integer value array: every net is
 assigned a slot, and every cell becomes one instruction — ``(cell type,
 input slots, output slots)`` — paired with a closure that applies the
-cell's packed boolean semantics (the same word-parallel expressions as
-``_evaluate_cell_packed``) directly to the array.  The program is built
-once per netlist *generation* and replayed for every chunk of an
-equivalence check or every batch of an empirical-switching run,
-eliminating the per-chunk topological re-sort, per-cell port-dict lookups,
-and 16-way type dispatch that used to dominate the packed evaluator.
-Threaded closures are used instead of ``exec``-generated source because
-building them is ~50x cheaper than compiling equivalent Python text while
-replaying within a few percent — single-replay callers (one random-stimulus
-chunk) stay fast, multi-chunk callers amortize either way.
+cell's packed boolean semantics directly to the array.  The closures come
+from each cell type's :attr:`~repro.netlist.cells.CellSemantics.packed_op`
+factory, which is generated once per cell type when
+:mod:`repro.netlist.cells` is imported; compiling a program only binds slot
+indices into them, which is far cheaper than compiling per-netlist source.
+The program is built once per netlist *generation* and replayed for every
+chunk of an equivalence check or every batch of an empirical-switching
+run, eliminating the per-chunk topological re-sort, per-cell port-dict
+lookups, and per-cell type dispatch.
 
 Cache correctness is structural, not conventional: :func:`cached_program`
 keys the memo on :attr:`Netlist.generation`, which every structural
@@ -28,182 +27,10 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import cell_semantics
 from repro.netlist.core import Netlist
 
 _OpFn = Callable[[List[int], int], None]
-
-
-def _op_fa(ins: Tuple[int, ...], outs: Tuple[int, ...]) -> _OpFn:
-    a, b, cin = ins
-    s, co = outs
-
-    def op(v: List[int], m: int) -> None:
-        t = v[a] ^ v[b]
-        v[s] = t ^ v[cin]
-        v[co] = (v[a] & v[b]) | (v[cin] & t)
-
-    return op
-
-
-def _op_ha(ins: Tuple[int, ...], outs: Tuple[int, ...]) -> _OpFn:
-    a, b = ins
-    s, co = outs
-
-    def op(v: List[int], m: int) -> None:
-        v[s] = v[a] ^ v[b]
-        v[co] = v[a] & v[b]
-
-    return op
-
-
-def _op_and2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a] & v[b]
-
-    return op
-
-
-def _op_nand2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ (v[a] & v[b])
-
-    return op
-
-
-def _op_or2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a] | v[b]
-
-    return op
-
-
-def _op_nor2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ (v[a] | v[b])
-
-    return op
-
-
-def _op_xor2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a] ^ v[b]
-
-    return op
-
-
-def _op_xnor2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ (v[a] ^ v[b])
-
-    return op
-
-
-def _op_not(ins, outs):
-    (a,), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ v[a]
-
-    return op
-
-
-def _op_buf(ins, outs):
-    (a,), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a]
-
-    return op
-
-
-def _op_mux2(ins, outs):
-    (a, b, sel), (y,) = ins, outs
-
-    def op(v, m):
-        s = v[sel]
-        v[y] = (v[b] & s) | (v[a] & (m ^ s))
-
-    return op
-
-
-def _op_aoi21(ins, outs):
-    (a, b, c), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ ((v[a] & v[b]) | v[c])
-
-    return op
-
-
-def _op_oai21(ins, outs):
-    (a, b, c), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ ((v[a] | v[b]) & v[c])
-
-    return op
-
-
-def _op_aoi22(ins, outs):
-    (a, b, c, d), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ ((v[a] & v[b]) | (v[c] & v[d]))
-
-    return op
-
-
-def _op_xor3(ins, outs):
-    (a, b, c), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a] ^ v[b] ^ v[c]
-
-    return op
-
-
-def _op_maj3(ins, outs):
-    (a, b, c), (y,) = ins, outs
-
-    def op(v, m):
-        va, vb = v[a], v[b]
-        v[y] = (va & vb) | (v[c] & (va | vb))
-
-    return op
-
-
-#: per cell type: closure factory binding slot indices into a packed op
-_OP_FACTORIES: Dict[CellType, Callable[..., _OpFn]] = {
-    CellType.FA: _op_fa,
-    CellType.HA: _op_ha,
-    CellType.AND2: _op_and2,
-    CellType.NAND2: _op_nand2,
-    CellType.OR2: _op_or2,
-    CellType.NOR2: _op_nor2,
-    CellType.XOR2: _op_xor2,
-    CellType.XNOR2: _op_xnor2,
-    CellType.NOT: _op_not,
-    CellType.BUF: _op_buf,
-    CellType.MUX2: _op_mux2,
-    CellType.AOI21: _op_aoi21,
-    CellType.OAI21: _op_oai21,
-    CellType.AOI22: _op_aoi22,
-    CellType.XOR3: _op_xor3,
-    CellType.MAJ3: _op_maj3,
-}
 
 
 @dataclass
@@ -303,8 +130,9 @@ def compile_netlist_program(netlist: Netlist) -> SimProgram:
     instructions: List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = []
     ops: List[_OpFn] = []
     for cell in netlist.topological_cells():
+        semantics = cell_semantics(cell.cell_type)
         in_slots: List[int] = []
-        for port in cell_input_ports(cell.cell_type):
+        for port in semantics.inputs:
             net = cell.inputs[port]
             slot = slot_of.get(net.name)
             if slot is None:
@@ -313,13 +141,13 @@ def compile_netlist_program(netlist: Netlist) -> SimProgram:
                 )
             in_slots.append(slot)
         out_slots: List[int] = []
-        for port in cell_output_ports(cell.cell_type):
+        for port in semantics.outputs:
             net = cell.outputs[port]
             slot_of[net.name] = len(slot_of)
             out_slots.append(slot_of[net.name])
         ins, outs = tuple(in_slots), tuple(out_slots)
         instructions.append((cell.cell_type.value, ins, outs))
-        ops.append(_OP_FACTORIES[cell.cell_type](ins, outs))
+        ops.append(semantics.packed_op(ins, outs))
 
     return SimProgram(
         netlist_name=netlist.name,

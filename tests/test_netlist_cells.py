@@ -71,6 +71,21 @@ class TestEvaluate:
             expected = 1 - ((a & b) | c)
             assert evaluate_cell(CellType.AOI21, {"a": a, "b": b, "c": c})["y"] == expected
 
+    @pytest.mark.parametrize(
+        "cell_type,ports,function",
+        [
+            (CellType.OAI21, "abc", lambda a, b, c: 0 if (a or b) and c else 1),
+            (CellType.AOI22, "abcd", lambda a, b, c, d: 0 if (a and b) or (c and d) else 1),
+            (CellType.XOR3, "abc", lambda a, b, c: (a + b + c) % 2),
+            (CellType.MAJ3, "abc", lambda a, b, c: int(a + b + c >= 2)),
+        ],
+    )
+    def test_complex_gates(self, cell_type, ports, function):
+        assert cell_input_ports(cell_type) == tuple(ports)
+        for bits in itertools.product((0, 1), repeat=len(ports)):
+            out = evaluate_cell(cell_type, dict(zip(ports, bits)))
+            assert out == {"y": function(*bits)}, bits
+
     def test_missing_port_rejected(self):
         with pytest.raises(NetlistError):
             evaluate_cell(CellType.FA, {"a": 1, "b": 0})

@@ -259,6 +259,37 @@ class TestCse:
         netlist.set_output(out.outputs["y"])
         assert CommonSubexpressionPass().run(netlist) == 0
 
+    @pytest.mark.parametrize(
+        "cell_type,first,second,merges",
+        [
+            # (a&b)|(c&d): pairs commute and the two pairs commute
+            (CellType.AOI22, "wxyz", "zyxw", True),
+            (CellType.AOI22, "wxyz", "wyxz", False),
+            # ~((a|b)&c): only the a/b pair commutes
+            (CellType.OAI21, "xyz", "yxz", True),
+            (CellType.OAI21, "xyz", "zyx", False),
+            (CellType.AOI21, "xyz", "xzy", False),
+            # sel is no data input
+            (CellType.MUX2, "xyz", "xzy", False),
+        ],
+    )
+    def test_merges_follow_input_symmetries(self, cell_type, first, second, merges):
+        netlist = Netlist("sym_cse")
+        nets = {name: netlist.add_input(name) for name in "wxyz"}
+        ports = {
+            CellType.AOI22: "abcd", CellType.OAI21: "abc",
+            CellType.AOI21: "abc", CellType.MUX2: ("a", "b", "sel"),
+        }[cell_type]
+        g1 = netlist.add_cell(cell_type, {p: nets[n] for p, n in zip(ports, first)})
+        g2 = netlist.add_cell(cell_type, {p: nets[n] for p, n in zip(ports, second)})
+        out = netlist.add_cell(
+            CellType.XOR2, {"a": g1.outputs["y"], "b": g2.outputs["y"]}
+        )
+        netlist.set_output(out.outputs["y"])
+        before = netlist.copy()
+        assert CommonSubexpressionPass().run(netlist) == int(merges)
+        _check(before, netlist)
+
     def test_adders_merge_both_outputs(self):
         netlist = Netlist("fa_cse")
         x = netlist.add_input("x")

@@ -1,16 +1,21 @@
 """Tests for probability propagation, switching activity and power estimation."""
 
 import itertools
+import random
 
 import pytest
 
 from repro.bitmatrix.builder import build_addend_matrix
 from repro.core.fa_alp import fa_alp
-from repro.core.power_model import FAPowerModel
+from repro.core.power_model import (
+    FAPowerModel,
+    fa_output_probabilities,
+    ha_output_probabilities,
+)
 from repro.errors import NetlistError
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
-from repro.netlist.cells import CellType
+from repro.netlist.cells import CellType, cell_input_ports
 from repro.netlist.core import Netlist
 from repro.power.probability import propagate_probabilities
 from repro.power.report import power_report
@@ -76,6 +81,36 @@ class TestProbabilityPropagation:
             for out in cell.output_nets():
                 exact = _exact_probability(build.netlist, out, input_probabilities)
                 assert propagated.probability_of(out) == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("cell_type", list(CellType))
+    def test_every_cell_type_matches_exhaustive_enumeration(self, cell_type):
+        """Each cell reads distinct independent inputs, so the model is exact."""
+        rng = random.Random(cell_type.value)
+        ports = cell_input_ports(cell_type)
+        netlist = Netlist("one_cell")
+        cell = netlist.add_cell(cell_type, {p: netlist.add_input(p) for p in ports})
+        for _ in range(25):
+            input_probabilities = {p: rng.random() for p in ports}
+            propagated = propagate_probabilities(netlist, input_probabilities)
+            for out in cell.output_nets():
+                exact = _exact_probability(netlist, out, input_probabilities)
+                assert propagated.probability_of(out) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "cell_type,paper_formula",
+        [(CellType.FA, fa_output_probabilities), (CellType.HA, ha_output_probabilities)],
+    )
+    def test_adders_use_the_allocators_formulas_bit_for_bit(self, cell_type, paper_formula):
+        rng = random.Random(7)
+        ports = cell_input_ports(cell_type)
+        netlist = Netlist("adder")
+        cell = netlist.add_cell(cell_type, {p: netlist.add_input(p) for p in ports})
+        for _ in range(200):
+            input_probabilities = {p: rng.random() for p in ports}
+            propagated = propagate_probabilities(netlist, input_probabilities)
+            expected = paper_formula(*(input_probabilities[p] for p in ports))
+            got = tuple(propagated.probability_of(out) for out in cell.output_nets())
+            assert got == expected
 
     def test_invalid_probability_rejected(self):
         netlist = Netlist("t")
