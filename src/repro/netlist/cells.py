@@ -107,8 +107,7 @@ def _factored(node: ast.expr) -> ast.expr:
     if not isinstance(node, ast.BinOp):
         return node
     left, right = _factored(node.left), _factored(node.right)
-    if isinstance(node.op, ast.BitOr) and isinstance(getattr(left, "op", None), ast.BitAnd) \
-            and _same_op(left, right):
+    if isinstance(node.op, ast.BitOr) and _same_op(left, right) and isinstance(left.op, ast.BitAnd):
         for p, q in ((left.left, left.right), (left.right, left.left)):
             for r, s in ((right.left, right.right), (right.right, right.left)):
                 if ast.dump(p) == ast.dump(r):
@@ -242,6 +241,7 @@ class CellSemantics:
         values = "".join(f"{_word_text(t, lambda p: f'x_{p}')}, " for t in self._word_trees)
         return self._define(f"def f(m, {args}):\n    return ({values})\n")
 
+    @cached_property
     def truth_table(self) -> List[Tuple[int, ...]]:
         """Outputs under every input assignment (bit ``i`` of the index drives port ``i``)."""
         n = len(self.inputs)
@@ -267,7 +267,7 @@ class CellSemantics:
             if len(names) == len(set(names)):
                 results.append(_composed_probability(tree, body))
             else:
-                column = [row[index] for row in self.truth_table()]
+                column = [row[index] for row in self.truth_table]
                 body.append(f"t{len(body)} = {_polynomial(column, self.inputs)}")
                 results.append(f"t{len(body) - 1}")
         args = ", ".join(f"x_{p}" for p in self.inputs)
@@ -281,7 +281,7 @@ class CellSemantics:
         Reading net ``names[perm[i]]`` on each port ``i`` then computes the
         same outputs as reading ``names[i]``.
         """
-        n, table = len(self.inputs), self.truth_table()
+        n, table = len(self.inputs), self.truth_table
         permuted = lambda k, perm: sum((k >> perm[i] & 1) << i for i in range(n))  # noqa: E731
         return tuple(perm for perm in itertools.permutations(range(n))
                      if all(table[permuted(k, perm)] == table[k] for k in range(1 << n)))

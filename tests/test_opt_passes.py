@@ -269,7 +269,8 @@ class TestCse:
             (CellType.OAI21, "xyz", "yxz", True),
             (CellType.OAI21, "xyz", "zyx", False),
             (CellType.AOI21, "xyz", "xzy", False),
-            # sel is no data input
+            # b if sel else a: neither the data inputs nor sel commute
+            (CellType.MUX2, "xyz", "yxz", False),
             (CellType.MUX2, "xyz", "xzy", False),
         ],
     )
