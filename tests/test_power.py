@@ -82,35 +82,34 @@ class TestProbabilityPropagation:
                 exact = _exact_probability(build.netlist, out, input_probabilities)
                 assert propagated.probability_of(out) == pytest.approx(exact, abs=1e-9)
 
+    @staticmethod
+    def _random_single_cell_runs(cell_type, runs):
+        """Yield (netlist, cell, input probabilities, result) for random inputs."""
+        rng = random.Random(cell_type.value)
+        netlist = Netlist("one_cell")
+        ports = cell_input_ports(cell_type)
+        cell = netlist.add_cell(cell_type, {p: netlist.add_input(p) for p in ports})
+        for _ in range(runs):
+            input_probabilities = {p: rng.random() for p in ports}
+            result = propagate_probabilities(netlist, input_probabilities)
+            yield netlist, cell, input_probabilities, result
+
     @pytest.mark.parametrize("cell_type", list(CellType))
     def test_every_cell_type_matches_exhaustive_enumeration(self, cell_type):
         """Each cell reads distinct independent inputs, so the model is exact."""
-        rng = random.Random(cell_type.value)
-        ports = cell_input_ports(cell_type)
-        netlist = Netlist("one_cell")
-        cell = netlist.add_cell(cell_type, {p: netlist.add_input(p) for p in ports})
-        for _ in range(25):
-            input_probabilities = {p: rng.random() for p in ports}
-            propagated = propagate_probabilities(netlist, input_probabilities)
+        for netlist, cell, inputs, result in self._random_single_cell_runs(cell_type, 25):
             for out in cell.output_nets():
-                exact = _exact_probability(netlist, out, input_probabilities)
-                assert propagated.probability_of(out) == pytest.approx(exact, abs=1e-12)
+                exact = _exact_probability(netlist, out, inputs)
+                assert result.probability_of(out) == pytest.approx(exact, abs=1e-12)
 
     @pytest.mark.parametrize(
         "cell_type,paper_formula",
         [(CellType.FA, fa_output_probabilities), (CellType.HA, ha_output_probabilities)],
     )
     def test_adders_use_the_allocators_formulas_bit_for_bit(self, cell_type, paper_formula):
-        rng = random.Random(7)
-        ports = cell_input_ports(cell_type)
-        netlist = Netlist("adder")
-        cell = netlist.add_cell(cell_type, {p: netlist.add_input(p) for p in ports})
-        for _ in range(200):
-            input_probabilities = {p: rng.random() for p in ports}
-            propagated = propagate_probabilities(netlist, input_probabilities)
-            expected = paper_formula(*(input_probabilities[p] for p in ports))
-            got = tuple(propagated.probability_of(out) for out in cell.output_nets())
-            assert got == expected
+        for _, cell, inputs, result in self._random_single_cell_runs(cell_type, 200):
+            expected = paper_formula(*(inputs[p] for p in cell_input_ports(cell_type)))
+            assert tuple(result.probability_of(out) for out in cell.output_nets()) == expected
 
     def test_invalid_probability_rejected(self):
         netlist = Netlist("t")
