@@ -29,7 +29,8 @@ from repro.utils.tables import TextTable
 
 _RESULTS: List[Dict] = []
 
-#: per-design wall-time ceiling for one full placement (greedy + anneal + CTS)
+#: per-design wall-time ceiling for one full placement (greedy + anneal +
+#: validation, wire delays, congestion and pre/post timing)
 _TIME_BUDGET_S = 5.0
 
 
@@ -57,7 +58,6 @@ def test_place_design(benchmark, design_name, library):
             "hpwl_final": report.total_hpwl,
             "delay_pre": report.pre_place_delay_ns,
             "delay_post": report.post_place_delay_ns,
-            "cts_skew_ns": report.cts_skew_ns,
             "place_s": elapsed,
         }
     )
@@ -68,7 +68,7 @@ def test_place_report(benchmark):
         pytest.skip("per-design results missing (deselected or reordered run)")
 
     table = TextTable(
-        ["design", "cells", "fabric", "hpwl", "delay ns", "skew ns", "place ms"],
+        ["design", "cells", "fabric", "hpwl", "delay ns", "place ms"],
         float_digits=3,
     )
     for row in _RESULTS:
@@ -79,7 +79,6 @@ def test_place_report(benchmark):
                 row["fabric"],
                 f"{row['hpwl_initial']:.0f} -> {row['hpwl_final']:.0f}",
                 f"{row['delay_pre']:.3f} -> {row['delay_post']:.3f}",
-                row["cts_skew_ns"],
                 row["place_s"] * 1e3,
             ]
         )

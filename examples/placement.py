@@ -12,9 +12,8 @@ geometry feeds back into the timing numbers the rest of the stack tracks:
    bounds, no overlaps),
 4. convert per-net wirelength into lumped wire delays and re-run static
    timing with them — the wire-aware critical path is always at least the
-   ideal one,
-5. build the H-tree clock network and report its worst-case skew, and
-6. show the one-line flow spelling (``FlowConfig(place=True)``) that does
+   ideal one, and
+5. show the one-line flow spelling (``FlowConfig(place=True)``) that does
    all of the above as a pipeline stage.
 
 Run with:  python examples/placement.py
@@ -23,7 +22,6 @@ Run with:  python examples/placement.py
 from repro.api import Flow, FlowConfig
 from repro.place import (
     auto_size,
-    build_clock_tree,
     place_netlist,
     site_demand,
     validate_placement,
@@ -50,8 +48,8 @@ def main() -> None:
     print(f"fabric: {fabric.rows}x{fabric.cols} sites "
           f"({demand} demanded, {demand / fabric.capacity:.0%} utilization)")
 
-    # Steps 2-5 in one call: greedy seed, annealing, validation, wire
-    # delays, clock tree, pre/post timing.
+    # Steps 2-4 in one call: greedy seed, annealing, validation, wire
+    # delays, pre/post timing.
     result = place_netlist(base.netlist, library=lib)
     report = result.report
     print(f"placement: hpwl {report.initial_hpwl:.0f} -> "
@@ -69,13 +67,7 @@ def main() -> None:
     print(table.render(title="Timing before and after wire delays"))
     print()
 
-    # Step 5 unpacked: the clock tree.
-    tree = build_clock_tree(base.netlist, result.placement)
-    print(f"clock tree: {tree.sinks} sinks over {tree.levels} H-tree levels, "
-          f"{tree.total_wire:.0f} sites of wire, skew {tree.skew:.4f} ns")
-    print()
-
-    # Step 6: the same thing as a flow stage — `delay_ns` becomes the
+    # Step 5: the same thing as a flow stage — `delay_ns` becomes the
     # wire-aware number and the report rides on the result.
     placed = Flow(FlowConfig(place=True)).run(DESIGN)
     print(placed.place_report.render())

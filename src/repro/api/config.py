@@ -268,8 +268,8 @@ class FlowConfig:
     place: bool = field(
         default=False,
         metadata=_meta(
-            "run the physical-design backend: annealing placement, "
-            "wire-aware timing and H-tree clock synthesis",
+            "run the physical-design backend: annealing placement "
+            "and wire-aware timing",
             kind="bool",
             flag="--place",
             axis="place_options",

@@ -147,12 +147,11 @@ class FlowResult(SynthesisResult):
         out["place_report"] = (
             self.place_report.to_dict() if self.place_report is not None else None
         )
-        # flat physical-design headline metrics: CSV columns, QoR records
-        # and the history sentinel consume these without digging into the
+        # flat physical-design headline metric: CSV columns, QoR records
+        # and the history sentinel consume it without digging into the
         # nested report (None when the place stage was skipped)
         place = self.place_report
         out["place_hpwl"] = round(place.total_hpwl, 6) if place is not None else None
-        out["cts_skew_ns"] = place.cts_skew_ns if place is not None else None
         return out
 
     def stage_report(self) -> str:

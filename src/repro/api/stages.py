@@ -23,9 +23,9 @@ A flow run is a sequence of *stages* operating on one mutable
 ``place``
     Run the physical-design backend (:mod:`repro.place`) when
     ``config.place`` is set: anneal a placement on the (auto-sized or
-    pinned) fabric, validate it, build the H-tree clock and leave the
-    per-net wire-delay map on the context for the timing analysis —
-    no-op by default, so the classic zero-wire flow is untouched.
+    pinned) fabric, validate it and leave the per-net wire-delay map on
+    the context for the timing analysis — no-op by default, so the
+    classic zero-wire flow is untouched.
 ``analyze``
     Run the *analysis passes* selected by ``config.analyses``.  Analyses are
     individually registrable and skippable — ``analyses=("timing",)`` skips
@@ -365,8 +365,7 @@ def place_stage(context: FlowContext) -> None:
     context.notes.append(
         f"placed on {result.report.fabric_rows}x{result.report.fabric_cols} "
         f"fabric (seed {config.place_seed}): hpwl "
-        f"{result.report.initial_hpwl:.1f} -> {result.report.total_hpwl:.1f}, "
-        f"cts skew {result.report.cts_skew_ns or 0.0:.4f} ns"
+        f"{result.report.initial_hpwl:.1f} -> {result.report.total_hpwl:.1f}"
     )
     context.artifacts["place"] = result
 

@@ -26,9 +26,13 @@ from repro.explore.spec import SweepPoint
 #: identity, plus the ``multiplier_style`` / ``fold_square_products`` /
 #: ``analyses`` knobs; records embed the full ``config`` dict;
 #: v4: the ``target_lib`` / ``map_objective`` technology-mapping axes, and
-#: records embed the ``map_report`` summary).  Entries written by an older
-#: schema are treated as plain misses, never errors.
-CACHE_SCHEMA_VERSION = 5
+#: records embed the ``map_report`` summary;
+#: v5: the ``place`` / fabric / ``place_seed`` / ``place_iters`` knobs, and
+#: records embed the ``place_report`` plus flat ``place_hpwl``;
+#: v6: the clock tree is gone — records drop ``place_report.cts`` and the
+#: flat ``cts_skew_ns``).  Entries written by an older schema are treated
+#: as plain misses, never errors.
+CACHE_SCHEMA_VERSION = 6
 
 
 class ResultCache:

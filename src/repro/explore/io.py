@@ -23,7 +23,6 @@ _METRIC_COLUMNS = (
     "fa_count",
     "ha_count",
     "place_hpwl",
-    "cts_skew_ns",
 )
 
 #: point columns identifying each row — derived from the FlowConfig schema

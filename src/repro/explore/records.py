@@ -77,7 +77,6 @@ class PointMetrics:
     pre_opt_cell_count: Optional[int] = None
     opt_cells_removed: Optional[int] = None
     place_hpwl: Optional[float] = None
-    cts_skew_ns: Optional[float] = None
     notes: List[str] = field(default_factory=list)
 
     @classmethod
@@ -105,7 +104,6 @@ class PointMetrics:
             pre_opt_cell_count=_opt_int(data, "pre_opt_cell_count"),
             opt_cells_removed=_opt_int(data, "opt_cells_removed"),
             place_hpwl=_opt_float(data, "place_hpwl"),
-            cts_skew_ns=_opt_float(data, "cts_skew_ns"),
             notes=list(data.get("notes", ())),
         )
 

@@ -59,7 +59,6 @@ QOR_FLOAT_METRICS = (
     "total_energy",
     "tree_energy",
     "place_hpwl",
-    "cts_skew_ns",
 )
 QOR_METRICS = QOR_INT_METRICS + QOR_FLOAT_METRICS
 

@@ -1,26 +1,21 @@
-"""Physical design backend: placement, wire-aware timing and clock trees.
+"""Physical design backend: placement and wire-aware timing.
 
 The package turns a (mapped) netlist into geometry and feeds the geometry
 back into the metrics the rest of the stack tracks:
 
 * :mod:`repro.place.fabric` — the declarative site-grid model (footprints,
   pin offsets, auto-sizing);
-* :mod:`repro.place.placer` — greedy row-scan packing plus the seeded
-  simulated-annealing HPWL refinement;
-* :mod:`repro.place.wires` — per-net wirelength, the linear wire-delay
-  model consumed by :func:`repro.timing.arrival.compute_arrival_times`,
-  and the congestion map;
-* :mod:`repro.place.cts` — the H-tree clock network with per-sink
-  insertion delays and worst-case skew;
+* :mod:`repro.place.placer` — the net-pin index, greedy row-scan packing
+  and the seeded simulated-annealing HPWL refinement;
+* :mod:`repro.place.wires` — the linear wire-delay model consumed by
+  :func:`repro.timing.arrival.compute_arrival_times`, and the congestion
+  map;
 * :mod:`repro.place.validate` — the structural placement validator;
 * :mod:`repro.place.runner` — :func:`place_netlist`, the one-call driver
   the flow's ``place`` stage uses.
 """
 
-from repro.place.cts import ClockTree, build_clock_tree
 from repro.place.fabric import (
-    CLOCK_BUFFER_DELAY_NS,
-    CLOCK_WIRE_DELAY_NS_PER_SITE,
     FabricGrid,
     SITE_FOOTPRINTS,
     WIRE_DELAY_NS_PER_SITE,
@@ -34,6 +29,7 @@ from repro.place.placer import (
     Placement,
     anneal,
     greedy_initial_placement,
+    net_pin_index,
     total_hpwl,
 )
 from repro.place.report import PlaceReport
@@ -44,13 +40,10 @@ from repro.place.runner import (
     place_netlist,
 )
 from repro.place.validate import check_placement, validate_placement
-from repro.place.wires import congestion_map, net_lengths, wire_delays
+from repro.place.wires import congestion_map, wire_delays
 
 __all__ = [
     "AnnealStats",
-    "CLOCK_BUFFER_DELAY_NS",
-    "CLOCK_WIRE_DELAY_NS_PER_SITE",
-    "ClockTree",
     "DEFAULT_PLACE_ITERS",
     "DEFAULT_PLACE_SEED",
     "FabricGrid",
@@ -61,12 +54,11 @@ __all__ = [
     "WIRE_DELAY_NS_PER_SITE",
     "anneal",
     "auto_size",
-    "build_clock_tree",
     "check_placement",
     "congestion_map",
     "footprint",
     "greedy_initial_placement",
-    "net_lengths",
+    "net_pin_index",
     "pin_offsets",
     "place_netlist",
     "site_demand",

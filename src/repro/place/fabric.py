@@ -5,14 +5,14 @@ cell occupies one row and a contiguous run of sites whose length is the
 cell type's *footprint* (:data:`SITE_FOOTPRINTS`); a placement is therefore
 fully described by the origin site ``(row, col)`` of every cell.  Pin
 positions are derived from declarative per-type *pin offsets* — fractions
-of the footprint measured from the cell origin — so wirelength and clock
-metrics see pins, not just cell origins.
+of the footprint measured from the cell origin — so wirelength metrics see
+pins, not just cell origins.
 
 All geometry is expressed in site units (one site pitch = 1.0); the wire
-and clock delay constants below convert geometric length into nanoseconds
-with a deliberately simple linear model, sized so that typical nets add a
-few tens of picoseconds against gate delays in the 0.06–0.42 ns range of
-the bundled libraries.
+delay constant below converts geometric length into nanoseconds with a
+deliberately simple linear model, sized so that typical nets add a few
+tens of picoseconds against gate delays in the 0.06–0.42 ns range of the
+bundled libraries.
 
 :func:`auto_size` picks a near-square fabric for a netlist at a target
 utilization — the default when ``FlowConfig.fabric_rows``/``fabric_cols``
@@ -54,11 +54,6 @@ SITE_FOOTPRINTS: Dict[CellType, int] = {
 #: added net delay per site pitch of half-perimeter wirelength, in ns —
 #: the linear wire model (see :mod:`repro.place.wires`)
 WIRE_DELAY_NS_PER_SITE = 0.002
-
-#: clock-tree wire delay per site pitch and per-branching-level buffer
-#: delay, in ns (see :mod:`repro.place.cts`)
-CLOCK_WIRE_DELAY_NS_PER_SITE = 0.0015
-CLOCK_BUFFER_DELAY_NS = 0.05
 
 #: default fill fraction targeted by :func:`auto_size`
 DEFAULT_UTILIZATION = 0.6

@@ -12,7 +12,10 @@ placement.
 
 HPWL is evaluated incrementally — a move re-prices only the nets touching
 the moved cells — which keeps a move proposal O(pins of the moved cells)
-and the whole refinement linear in ``place_iters``.
+and the whole refinement linear in ``place_iters``.  A move prices its
+nets from scratch and a commit stores those prices, so the final per-net
+costs equal a fresh HPWL of each net exactly; downstream wire delays read
+them directly.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import PlaceError
 from repro.netlist.core import Netlist
 from repro.place.fabric import FabricGrid, footprint, pin_offsets
+
+#: per-net placed pins: net name -> ``(cell, dx, dy)`` triples
+NetPins = Dict[str, List[Tuple[str, float, float]]]
 
 #: cooling schedule endpoints: the temperature decays geometrically from
 #: ``_T_START_SCALE`` x (mean net HPWL) down to ``_T_END`` over the run
@@ -64,7 +70,11 @@ class Placement:
 
 @dataclass
 class AnnealStats:
-    """What the refinement did: move counts and the cost trajectory."""
+    """What the refinement did: move counts and the cost trajectory.
+
+    ``net_hpwl`` is the final per-net HPWL (the annealer's incremental cost,
+    equal to a from-scratch HPWL of every net).
+    """
 
     moves: int = 0
     accepted: int = 0
@@ -72,6 +82,7 @@ class AnnealStats:
     relocations: int = 0
     initial_hpwl: float = 0.0
     final_hpwl: float = 0.0
+    net_hpwl: Dict[str, float] = field(default_factory=dict)
 
 
 def _occupancy(netlist: Netlist, placement: Placement) -> List[List[Optional[str]]]:
@@ -113,14 +124,15 @@ def greedy_initial_placement(netlist: Netlist, fabric: FabricGrid) -> Placement:
     return placement
 
 
-def _net_pins(netlist: Netlist) -> Dict[str, List[Tuple[str, float, float]]]:
+def net_pin_index(netlist: Netlist) -> NetPins:
     """Per-net placed pins as ``(cell, dx, dy)`` triples (>= 2 pins only).
 
     Primary inputs/outputs have no site, so a net's wirelength is the
     half-perimeter over its *cell* pins; nets touching fewer than two cell
-    pins contribute nothing and are dropped here.
+    pins contribute nothing and are dropped here.  The index depends on
+    connectivity alone, so one build serves every view of a placement.
     """
-    pins: Dict[str, List[Tuple[str, float, float]]] = {}
+    pins: NetPins = {}
     for cell in netlist.cells.values():
         offsets = pin_offsets(cell.cell_type)
         for port, net in cell.inputs.items():
@@ -158,21 +170,25 @@ def total_hpwl(netlist: Netlist, placement: Placement) -> float:
     """Total half-perimeter wirelength of a placement, in site units."""
     origins = placement.origins
     return sum(
-        _hpwl(pins, origins) for pins in _net_pins(netlist).values()
+        _hpwl(pins, origins) for pins in net_pin_index(netlist).values()
     )
 
 
 def anneal(
     netlist: Netlist,
     placement: Placement,
+    net_pins: NetPins,
     seed: int,
     iters: int,
 ) -> AnnealStats:
-    """Refine ``placement`` in place with ``iters`` seeded annealing moves."""
+    """Refine ``placement`` in place with ``iters`` seeded annealing moves.
+
+    ``net_pins`` is :func:`net_pin_index` of ``netlist``.  A netlist with
+    no cells has nothing to move: the stats report zero moves.
+    """
     fabric = placement.fabric
     origins = placement.origins
     occupancy = _occupancy(netlist, placement)
-    net_pins = _net_pins(netlist)
     cell_nets: Dict[str, List[str]] = {name: [] for name in origins}
     for net_name, pins in net_pins.items():
         for cell, _, _ in pins:
@@ -180,9 +196,11 @@ def anneal(
                 cell_nets[cell].append(net_name)
     net_cost = {name: _hpwl(pins, origins) for name, pins in net_pins.items()}
     total = sum(net_cost.values())
-    stats = AnnealStats(initial_hpwl=round(total, 6))
+    stats = AnnealStats(initial_hpwl=round(total, 6), net_hpwl=net_cost)
 
     cells = sorted(origins)
+    if not cells:
+        return stats
     widths = {name: footprint(netlist.cells[name].cell_type) for name in cells}
     by_width: Dict[int, List[str]] = {}
     for name in cells:
@@ -211,9 +229,9 @@ def anneal(
                 continue
             old_a, old_b = origins[a], origins[b]
             origins[a], origins[b] = old_b, old_a
-            delta = _trial_delta(net_pins, cell_nets, net_cost, origins, (a, b))
+            trial, delta = _reprice(net_pins, cell_nets, net_cost, origins, (a, b))
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                total += _commit_nets(net_pins, cell_nets, net_cost, origins, (a, b))
+                net_cost.update(trial)
                 width = widths[a]
                 for offset in range(width):
                     occupancy[old_a[0]][old_a[1] + offset] = b
@@ -233,9 +251,9 @@ def anneal(
                 continue
             old = origins[cell]
             origins[cell] = (row, col)
-            delta = _trial_delta(net_pins, cell_nets, net_cost, origins, (cell,))
+            trial, delta = _reprice(net_pins, cell_nets, net_cost, origins, (cell,))
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                total += _commit_nets(net_pins, cell_nets, net_cost, origins, (cell,))
+                net_cost.update(trial)
                 # free the old span first: it may overlap the new one
                 for offset in range(width):
                     occupancy[old[0]][old[1] + offset] = None
@@ -251,43 +269,18 @@ def anneal(
     return stats
 
 
-def _affected_nets(
-    cell_nets: Dict[str, List[str]], moved: Tuple[str, ...]
-) -> List[str]:
-    """Deduplicated nets touching the moved cells, in stable order."""
-    seen: List[str] = []
-    for cell in moved:
-        for net_name in cell_nets[cell]:
-            if net_name not in seen:
-                seen.append(net_name)
-    return seen
-
-
-def _trial_delta(
-    net_pins: Dict[str, List[Tuple[str, float, float]]],
+def _reprice(
+    net_pins: NetPins,
     cell_nets: Dict[str, List[str]],
     net_cost: Dict[str, float],
     origins: Dict[str, Tuple[int, int]],
     moved: Tuple[str, ...],
-) -> float:
-    """Cost change of a tentative move (origins already mutated)."""
-    return sum(
-        _hpwl(net_pins[name], origins) - net_cost[name]
-        for name in _affected_nets(cell_nets, moved)
-    )
+) -> Tuple[Dict[str, float], float]:
+    """Fresh HPWL of the moved cells' nets and the move's cost change.
 
-
-def _commit_nets(
-    net_pins: Dict[str, List[Tuple[str, float, float]]],
-    cell_nets: Dict[str, List[str]],
-    net_cost: Dict[str, float],
-    origins: Dict[str, Tuple[int, int]],
-    moved: Tuple[str, ...],
-) -> float:
-    """Refresh the cached cost of the moved cells' nets; returns the delta."""
-    delta = 0.0
-    for name in _affected_nets(cell_nets, moved):
-        new_cost = _hpwl(net_pins[name], origins)
-        delta += new_cost - net_cost[name]
-        net_cost[name] = new_cost
-    return delta
+    ``origins`` already holds the tentative move; committing it stores the
+    returned costs in ``net_cost``.
+    """
+    affected = dict.fromkeys(net for cell in moved for net in cell_nets[cell])
+    trial = {name: _hpwl(net_pins[name], origins) for name in affected}
+    return trial, sum(cost - net_cost[name] for name, cost in trial.items())

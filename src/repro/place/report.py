@@ -1,9 +1,9 @@
 """Placement reports: what physical design did and what it cost.
 
 The report carries the geometric view (fabric, utilization, wirelength,
-congestion hotspots), the refinement view (annealing move statistics), the
-timing view (zero-wire pre-place critical delay against the wire-aware
-post-place one) and the clock view (H-tree depth, insertion delay, skew).
+congestion hotspots), the refinement view (annealing move statistics) and
+the timing view (zero-wire pre-place critical delay against the wire-aware
+post-place one).
 Float fields are rounded at construction sites so serialized reports are
 deterministic bytes for the golden and determinism harnesses.
 """
@@ -32,7 +32,6 @@ class PlaceReport:
     congestion: List[Dict[str, object]] = field(default_factory=list)
     pre_place_delay_ns: Optional[float] = None
     post_place_delay_ns: Optional[float] = None
-    cts: Dict[str, object] = field(default_factory=dict)
     validation_findings: int = 0
     elapsed_s: float = 0.0
 
@@ -46,12 +45,6 @@ class PlaceReport:
         if self.sites_total == 0:
             return 0.0
         return self.sites_used / self.sites_total
-
-    @property
-    def cts_skew_ns(self) -> Optional[float]:
-        """Worst-case clock skew of the H-tree (None when no tree built)."""
-        value = self.cts.get("skew_ns")
-        return float(value) if value is not None else None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-able record for artifacts, cache entries and CLI ``--json``.
@@ -75,12 +68,11 @@ class PlaceReport:
             "congestion": [dict(entry) for entry in self.congestion],
             "pre_place_delay_ns": self.pre_place_delay_ns,
             "post_place_delay_ns": self.post_place_delay_ns,
-            "cts": dict(self.cts),
             "validation_findings": self.validation_findings,
         }
 
     def render(self) -> str:
-        """Human-readable report: geometry, wirelength, timing and clock."""
+        """Human-readable report: geometry, wirelength and timing."""
         table = TextTable(["metric", "value"])
         table.add_row(["fabric", f"{self.fabric_rows}x{self.fabric_cols} sites"])
         table.add_row(["utilization", f"{self.utilization:.1%}"])
@@ -94,15 +86,6 @@ class PlaceReport:
                     "critical delay",
                     f"{self.pre_place_delay_ns:.3f} -> "
                     f"{self.post_place_delay_ns:.3f} ns (wire-aware)",
-                ]
-            )
-        if self.cts:
-            table.add_row(
-                [
-                    "clock tree",
-                    f"{self.cts.get('sinks', 0)} sinks, "
-                    f"{self.cts.get('levels', 0)} levels, "
-                    f"skew {float(self.cts.get('skew_ns') or 0.0):.4f} ns",
                 ]
             )
         lines = [table.render(title="Placement")]

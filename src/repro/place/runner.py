@@ -1,10 +1,11 @@
-"""The physical-design driver: fabric -> placement -> wires -> clock.
+"""The physical-design driver: fabric -> placement -> wires -> timing.
 
 :func:`place_netlist` glues the subsystem together in the order a real
 backend runs it: size (or accept) the fabric, pack an initial placement,
 refine it with the seeded annealer, hard-validate the result, then derive
 the downstream physical views — per-net wire delays (fed into wire-aware
-static timing), the congestion map and the H-tree clock network.  The
+static timing) and the congestion map.  Each sub-step runs once, under
+its own ``place.*`` span, and all of them share one net-pin index.  The
 returned :class:`PlaceResult` carries the placement object, the wire-delay
 map and the summary :class:`~repro.place.report.PlaceReport`.
 """
@@ -15,11 +16,17 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.place.cts import build_clock_tree
+from repro import obs
 from repro.place.fabric import FabricGrid, auto_size, site_demand
-from repro.place.placer import AnnealStats, Placement, anneal, greedy_initial_placement
+from repro.place.placer import (
+    AnnealStats,
+    Placement,
+    anneal,
+    greedy_initial_placement,
+    net_pin_index,
+)
 from repro.place.report import PlaceReport
-from repro.place.validate import check_placement, validate_placement
+from repro.place.validate import check_placement
 from repro.place.wires import congestion_map, wire_delays
 from repro.tech.library import TechLibrary
 from repro.netlist.core import Netlist
@@ -47,37 +54,39 @@ def place_netlist(
     seed: int = DEFAULT_PLACE_SEED,
     iters: int = DEFAULT_PLACE_ITERS,
 ) -> PlaceResult:
-    """Place ``netlist`` and derive wire delays, congestion and the clock tree.
+    """Place ``netlist`` and derive its wire delays and congestion map.
 
     ``rows``/``cols`` pin the fabric explicitly (raising
     :class:`~repro.errors.PlaceError` when the netlist does not fit); when
     ``None`` the fabric is auto-sized (:func:`repro.place.fabric.auto_size`).
     ``library`` enables the pre/post-place critical-delay comparison; without
-    it the report carries geometry and clock metrics only.
+    it the report carries geometry metrics only.
     """
     start = time.perf_counter()
-    if rows is None and cols is None:
-        fabric = auto_size(netlist)
-    else:
-        sized = auto_size(netlist)
-        fabric = FabricGrid(
-            rows=rows if rows is not None else sized.rows,
-            cols=cols if cols is not None else sized.cols,
-        )
+    sized = auto_size(netlist)
+    fabric = FabricGrid(
+        rows=sized.rows if rows is None else rows,
+        cols=sized.cols if cols is None else cols,
+    )
     placement = greedy_initial_placement(netlist, fabric)
-    stats = anneal(netlist, placement, seed=seed, iters=iters)
-    check_placement(netlist, placement)
-
-    delays = wire_delays(netlist, placement)
-    tree = build_clock_tree(netlist, placement)
+    net_pins = net_pin_index(netlist)
+    with obs.span("place.anneal", cells=len(placement.origins), iters=iters):
+        stats = anneal(netlist, placement, net_pins, seed=seed, iters=iters)
+    with obs.span("place.validate"):
+        findings = check_placement(netlist, placement)
+    with obs.span("place.wires", nets=len(net_pins)):
+        delays = wire_delays(stats.net_hpwl)
+    with obs.span("place.congestion"):
+        congestion = congestion_map(placement, net_pins)
     pre_delay = post_delay = None
     if library is not None:
         from repro.timing.arrival import compute_arrival_times
 
-        pre_delay = round(compute_arrival_times(netlist, library).delay, 9)
-        post_delay = round(
-            compute_arrival_times(netlist, library, net_delays=delays).delay, 9
-        )
+        with obs.span("place.timing"):
+            pre_delay = round(compute_arrival_times(netlist, library).delay, 9)
+            post_delay = round(
+                compute_arrival_times(netlist, library, net_delays=delays).delay, 9
+            )
     report = PlaceReport(
         fabric_rows=fabric.rows,
         fabric_cols=fabric.cols,
@@ -88,11 +97,10 @@ def place_netlist(
         accepted=stats.accepted,
         initial_hpwl=stats.initial_hpwl,
         total_hpwl=stats.final_hpwl,
-        congestion=congestion_map(netlist, placement),
+        congestion=congestion,
         pre_place_delay_ns=pre_delay,
         post_place_delay_ns=post_delay,
-        cts=tree.to_dict(),
-        validation_findings=len(validate_placement(netlist, placement)),
+        validation_findings=len(findings),
         elapsed_s=time.perf_counter() - start,
     )
     return PlaceResult(

@@ -9,7 +9,7 @@ cannot invent or drop logic).
 
 :func:`validate_placement` returns human-readable findings (empty list =
 sound); :func:`check_placement` raises :class:`~repro.errors.PlaceError`
-on the first sweep, for use as a hard gate inside the flow stage.
+when there are any, for use as a hard gate inside the flow stage.
 """
 
 from __future__ import annotations
@@ -54,11 +54,16 @@ def validate_placement(netlist: Netlist, placement: Placement) -> List[str]:
     return findings
 
 
-def check_placement(netlist: Netlist, placement: Placement) -> None:
-    """Raise :class:`PlaceError` when the placement is structurally broken."""
+def check_placement(netlist: Netlist, placement: Placement) -> List[str]:
+    """Raise :class:`PlaceError` when the placement is structurally broken.
+
+    Returns the findings of the pass it gated on (always empty), so a
+    caller can report them without validating a second time.
+    """
     findings = validate_placement(netlist, placement)
     if findings:
         raise PlaceError(
             f"placement of {netlist.name!r} failed validation "
             f"({len(findings)} finding(s)): " + "; ".join(findings[:5])
         )
+    return findings

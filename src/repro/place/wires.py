@@ -1,9 +1,9 @@
 """Wire-length and wire-delay estimation over a placement.
 
-The estimator prices every net by the half-perimeter of its placed pin
-bounding box and converts that length into an added net delay with a
-linear model (:data:`repro.place.fabric.WIRE_DELAY_NS_PER_SITE` ns per
-site pitch).  The resulting per-net delay map plugs straight into
+The annealer prices every net by the half-perimeter of its placed pin
+bounding box; :func:`wire_delays` converts those lengths into added net
+delays with a linear model (:data:`repro.place.fabric.WIRE_DELAY_NS_PER_SITE`
+ns per site pitch).  The resulting per-net delay map plugs straight into
 :func:`repro.timing.arrival.compute_arrival_times` via its ``net_delays``
 parameter, which is how post-place critical paths come to differ from the
 zero-wire pre-place view.
@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.netlist.core import Netlist
 from repro.place.fabric import WIRE_DELAY_NS_PER_SITE
-from repro.place.placer import Placement, _hpwl, _net_pins
+from repro.place.placer import NetPins, Placement
 
 #: bins per fabric edge in the congestion map (grid is BINS x BINS)
 CONGESTION_BINS = 4
@@ -28,34 +27,33 @@ CONGESTION_BINS = 4
 CONGESTION_HOTSPOTS = 3
 
 
-def net_lengths(netlist: Netlist, placement: Placement) -> Dict[str, float]:
-    """Per-net HPWL in site units (nets with >= 2 placed pins only)."""
-    origins = placement.origins
-    return {
-        name: round(_hpwl(pins, origins), 6)
-        for name, pins in _net_pins(netlist).items()
-    }
-
-
 def wire_delays(
-    netlist: Netlist,
-    placement: Placement,
+    net_hpwl: Dict[str, float],
     ns_per_site: float = WIRE_DELAY_NS_PER_SITE,
 ) -> Dict[str, float]:
-    """Added delay per net, in ns: the linear HPWL wire model."""
+    """Added delay per net, in ns: the linear HPWL wire model.
+
+    ``net_hpwl`` is per-net HPWL in site units — the annealer's final
+    per-net cost (:attr:`repro.place.placer.AnnealStats.net_hpwl`).
+    Zero-length nets add no delay and are left out.
+    """
+    lengths = {name: round(length, 6) for name, length in net_hpwl.items()}
     return {
         name: round(length * ns_per_site, 9)
-        for name, length in net_lengths(netlist, placement).items()
+        for name, length in lengths.items()
         if length > 0.0
     }
 
 
 def congestion_map(
-    netlist: Netlist,
     placement: Placement,
+    net_pins: NetPins,
     bins: int = CONGESTION_BINS,
 ) -> List[Dict[str, object]]:
     """Routing-demand hotspots: net-bounding-box crossings per fabric bin.
+
+    ``net_pins`` is :func:`repro.place.placer.net_pin_index` of the placed
+    netlist.
 
     Returns the :data:`CONGESTION_HOTSPOTS` densest bins as
     ``{"row_bin", "col_bin", "crossings"}`` records, densest first (ties
@@ -67,7 +65,7 @@ def congestion_map(
     col_scale = bins / fabric.cols
     counts: Dict[Tuple[int, int], int] = {}
     origins = placement.origins
-    for pins in _net_pins(netlist).values():
+    for pins in net_pins.values():
         xs: List[float] = []
         ys: List[float] = []
         for cell, dx, dy in pins:

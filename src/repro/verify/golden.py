@@ -76,7 +76,6 @@ _FLOAT_METRICS = (
     "total_energy",
     "tree_energy",
     "place_hpwl",
-    "cts_skew_ns",
 )
 
 
@@ -85,8 +84,8 @@ def golden_points() -> List["SweepPoint"]:
 
     Per design: the Table 1 method trio as built, plus ``fa_aot`` at
     ``-O2`` so optimizer regressions show up in the metrics as well, plus
-    ``fa_aot`` placed on the auto-sized fabric so placement QoR (HPWL,
-    wire-aware delay, CTS skew) is pinned too.
+    ``fa_aot`` placed on the auto-sized fabric so placement QoR (HPWL and
+    wire-aware delay) is pinned too.
     """
     points: List[SweepPoint] = []
     for design in GOLDEN_DESIGNS:

@@ -280,7 +280,6 @@ def _check_place_preserves_function(
         "vectors": len(vectors),
         "cells": placed.cell_count,
         "hpwl": report.total_hpwl,
-        "cts_skew_ns": report.cts_skew_ns,
     }
 
 

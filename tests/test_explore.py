@@ -41,7 +41,6 @@ def _record(design="d", method="m", delay=1.0, area=1.0, energy=1.0):
         "pre_opt_cell_count": None,
         "opt_cells_removed": None,
         "place_hpwl": None,
-        "cts_skew_ns": None,
         "notes": [],
     }
 

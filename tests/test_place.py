@@ -1,39 +1,43 @@
-"""The physical-design subsystem: fabric, placer, wires, CTS, validation.
+"""The physical-design subsystem: fabric, placer, wires, validation.
 
 Covers the ``repro.place`` package end to end — fabric sizing and
 footprints, the greedy seed placement, the annealer's invariants, the
 structural validator against hand-corrupted placements, wire-aware timing,
-the H-tree clock builder — plus the flow integration: the ``place`` stage,
-the config knobs (validation, canonicalization, cache identity, sweep
-labels) and the ``PlaceReport`` record shape.
+the one-pass-per-sub-step driver — plus the flow integration: the
+``place`` stage and its spans, the config knobs (validation,
+canonicalization, cache identity, sweep labels) and the ``PlaceReport``
+record shape.
 """
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro import obs
 from repro.api.config import FlowConfig
 from repro.api.flow import Flow
 from repro.errors import ConfigError, PlaceError
 from repro.explore.spec import SweepPoint
 from repro.netlist.cells import CellType
+from repro.netlist.core import Netlist
 from repro.place import (
-    CLOCK_BUFFER_DELAY_NS,
     FabricGrid,
     Placement,
     anneal,
     auto_size,
-    build_clock_tree,
     check_placement,
     footprint,
     greedy_initial_placement,
+    net_pin_index,
     pin_offsets,
     place_netlist,
     site_demand,
     total_hpwl,
     validate_placement,
-    wire_delays,
 )
+from repro.place.placer import _hpwl
 from repro.timing.arrival import compute_arrival_times
 
 
@@ -99,7 +103,9 @@ class TestPlacer:
         fabric = auto_size(x2_netlist)
         placement = greedy_initial_placement(x2_netlist, fabric)
         before = total_hpwl(x2_netlist, placement)
-        stats = anneal(x2_netlist, placement, seed=1, iters=1500)
+        stats = anneal(
+            x2_netlist, placement, net_pin_index(x2_netlist), seed=1, iters=1500
+        )
         assert validate_placement(x2_netlist, placement) == []
         assert stats.final_hpwl <= before
         assert stats.final_hpwl == pytest.approx(total_hpwl(x2_netlist, placement))
@@ -110,20 +116,24 @@ class TestPlacer:
         fabric = auto_size(x2_netlist)
         placement = greedy_initial_placement(x2_netlist, fabric)
         seed_origins = dict(placement.origins)
-        stats = anneal(x2_netlist, placement, seed=1, iters=0)
+        stats = anneal(
+            x2_netlist, placement, net_pin_index(x2_netlist), seed=1, iters=0
+        )
         assert placement.origins == seed_origins
         assert stats.moves == 0 and stats.accepted == 0
 
     def test_incremental_cost_matches_full_recompute(self, x2_netlist):
-        # the annealer prices moves incrementally; the invariant is that its
-        # running total agrees with a from-scratch HPWL sum at the end
+        # the annealer prices moves incrementally; the invariant is that
+        # every net's final cost equals a from-scratch HPWL bit for bit —
+        # the wire delays are read straight from these costs
         fabric = auto_size(x2_netlist)
+        net_pins = net_pin_index(x2_netlist)
         for seed in (1, 2, 3):
             placement = greedy_initial_placement(x2_netlist, fabric)
-            stats = anneal(x2_netlist, placement, seed=seed, iters=400)
-            assert stats.final_hpwl == pytest.approx(
-                total_hpwl(x2_netlist, placement)
-            )
+            stats = anneal(x2_netlist, placement, net_pins, seed=seed, iters=400)
+            assert list(stats.net_hpwl) == list(net_pins)
+            for name, pins in net_pins.items():
+                assert stats.net_hpwl[name] == _hpwl(pins, placement.origins)
 
 
 class TestRelocateOverlap:
@@ -144,6 +154,40 @@ class TestRelocateOverlap:
             place_seed=seed,
         )
         assert Flow(config).run("x2").place_report.validation_findings == 0
+
+
+def _count_calls(monkeypatch, func):
+    """Count calls of ``func`` through every ``repro`` module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro.") and (
+            getattr(module, func.__name__, None) is func
+        ):
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+class TestOnePassPerSubStep:
+    def test_one_index_and_one_validation(self, monkeypatch, x2_netlist, library):
+        index_calls = _count_calls(monkeypatch, net_pin_index)
+        validate_calls = _count_calls(monkeypatch, validate_placement)
+        result = place_netlist(x2_netlist, library=library)
+        assert len(index_calls) == 1
+        assert len(validate_calls) == 1
+        assert result.report.validation_findings == 0
+
+    def test_empty_netlist_places_on_a_unit_fabric(self):
+        result = place_netlist(Netlist("empty"))
+        report = result.report
+        assert (report.fabric_rows, report.fabric_cols) == (1, 1)
+        assert report.total_hpwl == 0.0 and report.initial_hpwl == 0.0
+        assert report.moves == 0 and report.accepted == 0
+        assert result.net_delays == {}
 
 
 class TestValidator:
@@ -212,27 +256,6 @@ class TestWireAwareTiming:
         assert plain.arrivals == empty.arrivals
 
 
-class TestClockTree:
-    def test_htree_reaches_every_sink(self, placed_x2):
-        netlist, result = placed_x2
-        tree = build_clock_tree(netlist, result.placement)
-        assert tree.sinks == netlist.num_cells()
-        assert len(tree.insertion_delays) == tree.sinks
-        assert tree.levels >= 1
-        assert tree.total_wire > 0
-
-    def test_skew_is_max_minus_min_insertion(self, placed_x2):
-        netlist, result = placed_x2
-        tree = build_clock_tree(netlist, result.placement)
-        spread = max(tree.insertion_delays.values()) - min(
-            tree.insertion_delays.values()
-        )
-        assert tree.skew == pytest.approx(spread)
-        assert tree.skew >= 0
-        # every sink pays at least one buffer level of insertion delay
-        assert min(tree.insertion_delays.values()) >= CLOCK_BUFFER_DELAY_NS
-
-
 class TestFlowIntegration:
     def test_place_stage_populates_report_and_metrics(self):
         result = Flow(FlowConfig(place=True)).run("x2")
@@ -242,14 +265,12 @@ class TestFlowIntegration:
         assert report.total_hpwl <= report.initial_hpwl
         record = result.to_dict()
         assert record["place_hpwl"] == pytest.approx(report.total_hpwl)
-        assert record["cts_skew_ns"] == report.cts_skew_ns
         assert record["place_report"]["fabric_rows"] == report.fabric_rows
 
     def test_place_off_leaves_record_untouched(self):
         record = Flow(FlowConfig()).run("x2").to_dict()
         assert record["place_report"] is None
         assert record["place_hpwl"] is None
-        assert record["cts_skew_ns"] is None
 
     def test_delay_ns_becomes_wire_aware_when_placed(self):
         plain = Flow(FlowConfig()).run("x2")
@@ -279,10 +300,23 @@ class TestFlowIntegration:
         assert "elapsed_s" not in result.place_report.to_dict()
         assert result.place_report.elapsed_s > 0
 
-    def test_render_mentions_validation_and_skew(self):
+    def test_render_mentions_validation(self):
         text = Flow(FlowConfig(place=True)).run("x2").place_report.render()
         assert "placement validation: ok" in text
-        assert "skew" in text
+
+    def test_every_sub_step_nests_under_flow_place(self):
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            Flow(FlowConfig(place=True)).run("x2")
+        (place,) = [s for s in tracer.spans if s["name"] == "flow.place"]
+        children = {s["name"] for s in tracer.spans if s["parent"] == place["id"]}
+        assert children == {
+            "place.anneal",
+            "place.validate",
+            "place.wires",
+            "place.congestion",
+            "place.timing",
+        }
 
 
 class TestConfigKnobs:
