@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.adders.factory import FINAL_ADDER_KINDS
-from repro.baselines.multipliers import MULTIPLIER_STYLES
+from repro.baselines.styles import MULTIPLIER_STYLES
 from repro.errors import ConfigError
 from repro.map.targets import (
     GENERIC_TARGET,
@@ -38,7 +38,7 @@ from repro.map.targets import (
     TARGET_LIB_HELP,
     TARGET_NAMES,
 )
-from repro.opt.manager import OPT_LEVELS, OPT_LEVEL_HELP
+from repro.opt.levels import OPT_LEVEL_HELP, OPT_LEVELS
 from repro.tech.default_libs import LIBRARY_NAMES
 
 #: methods that go through the addend matrix + compressor tree pipeline

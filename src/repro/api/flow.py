@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 from repro import obs
 from repro.api.config import FlowConfig
 from repro.api.result import FlowResult
-from repro.api.stages import STAGE_ORDER, FlowContext, stage
+from repro.api.stages import STAGE_ORDER, FlowContext, import_backends, stage
 from repro.core.delay_model import FADelayModel
 from repro.core.power_model import FAPowerModel
 from repro.designs.base import DatapathDesign
@@ -112,6 +112,10 @@ class Flow:
             delay_model=FADelayModel.from_library(library),
             power_model=FAPowerModel.from_library(library),
         )
+        # the stages import their backends on first use; importing them
+        # here, before any span opens, keeps module loading out of the
+        # stage timings of a cold run
+        import_backends(config)
         delays = _stage_delays()
         with obs.span(
             "flow.run", design=design.name, method=config.method

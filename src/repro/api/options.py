@@ -17,6 +17,7 @@ import argparse
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.api.config import FieldSpec, FlowConfig, config_fields
+from repro.obs.logbridge import LOG_LEVELS
 
 #: tri-state values accepted by boolean sweep axes
 _BOOL_AXIS_VALUES: Dict[str, Sequence[bool]] = {
@@ -162,8 +163,6 @@ def add_observability_options(parser: argparse.ArgumentParser) -> None:
     stderr progress line) and ``--point-timeout`` / ``--stall-factor`` tune
     the sweep engine's straggler re-dispatch and stall flagging.
     """
-    from repro.obs import LOG_LEVELS
-
     group = parser.add_argument_group("observability")
     group.add_argument(
         "--trace",

@@ -41,16 +41,13 @@ become valid ``analyses`` values, CLI choices and sweep options, because
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.adders.factory import build_final_adder
-from repro.baselines.conventional import conventional_synthesis
-from repro.baselines.csa_opt import csa_opt_reduce
-from repro.baselines.dadda import dadda_reduce
-from repro.baselines.wallace import wallace_reduce
 from repro.bitmatrix.builder import MatrixBuildResult, build_addend_matrix
 from repro.core.delay_model import FADelayModel
 from repro.core.fa_alp import fa_alp
@@ -60,17 +57,51 @@ from repro.core.power_model import FAPowerModel
 from repro.core.result import CompressionResult
 from repro.designs.base import DatapathDesign
 from repro.errors import ConfigError
-from repro.map.mapper import map_netlist
 from repro.map.targets import GENERIC_TARGET
 from repro.netlist.cells import CellType
 from repro.netlist.core import Bus, Netlist
 from repro.netlist.stats import netlist_stats
-from repro.opt.manager import optimize_netlist
-from repro.place.runner import place_netlist
 from repro.power.probability import propagate_probabilities
 from repro.power.switching import estimate_power
 from repro.tech.library import TechLibrary
 from repro.timing.arrival import compute_arrival_times
+
+#: the backend of each baseline method, imported by the stage that runs it
+_METHOD_BACKENDS = {
+    "conventional": "repro.baselines.conventional",
+    "csa_opt": "repro.baselines.csa_opt",
+    "dadda": "repro.baselines.dadda",
+    "wallace": "repro.baselines.wallace",
+}
+
+#: the backends a stage imports where it uses them, so a run loads only the
+#: stages it executes; :meth:`repro.api.Flow.run` imports the ones its config
+#: needs before its spans open, and a process that forks workers imports them
+#: all up front so every worker inherits them (:func:`import_backends`)
+BACKEND_MODULES = tuple(_METHOD_BACKENDS.values()) + (
+    "repro.map.mapper",
+    "repro.opt.manager",
+    "repro.place.runner",
+)
+
+
+def import_backends(config: Optional["FlowConfig"] = None) -> None:  # noqa: F821
+    """Import the backends a run of ``config`` uses; all of them without one.
+
+    A stage that is a no-op for ``config`` needs no backend.
+    """
+    if config is None:
+        needed = BACKEND_MODULES
+    else:
+        needed = (
+            _METHOD_BACKENDS.get(config.method),
+            "repro.opt.manager" if config.opt_level > 0 else None,
+            "repro.map.mapper" if config.target_lib != GENERIC_TARGET else None,
+            "repro.place.runner" if config.place else None,
+        )
+    for name in needed:
+        if name is not None:
+            importlib.import_module(name)
 
 
 @dataclass
@@ -206,10 +237,16 @@ def _reduce_matrix(context: FlowContext) -> CompressionResult:
     if method == "fa_random":
         return fa_random(netlist, matrix, delay_model, power_model, seed=config.seed)
     if method == "wallace":
+        from repro.baselines.wallace import wallace_reduce
+
         return wallace_reduce(netlist, matrix, delay_model, power_model)
     if method == "dadda":
+        from repro.baselines.dadda import dadda_reduce
+
         return dadda_reduce(netlist, matrix, delay_model, power_model)
     if method == "csa_opt":
+        from repro.baselines.csa_opt import csa_opt_reduce
+
         return csa_opt_reduce(netlist, matrix, delay_model, power_model)
     if method == "column_isolation":
         return fa_aot(netlist, matrix, delay_model, power_model, column_interaction=False)
@@ -221,6 +258,8 @@ def frontend_stage(context: FlowContext) -> None:
     """Lower the design: addend matrix, or full netlist for ``conventional``."""
     config, design = context.config, context.design
     if config.method == "conventional":
+        from repro.baselines.conventional import conventional_synthesis
+
         conventional = conventional_synthesis(
             design.expression,
             design.signals,
@@ -294,6 +333,8 @@ def optimize_stage(context: FlowContext) -> None:
     config = context.config
     if config.opt_level <= 0:
         return
+    from repro.opt.manager import optimize_netlist
+
     report = optimize_netlist(
         context.netlist,
         opt_level=config.opt_level,
@@ -320,6 +361,8 @@ def map_stage(context: FlowContext) -> None:
     config = context.config
     if config.target_lib == GENERIC_TARGET:
         return
+    from repro.map.mapper import map_netlist
+
     report = map_netlist(
         context.netlist,
         target=config.target_lib,
@@ -349,6 +392,8 @@ def place_stage(context: FlowContext) -> None:
     config = context.config
     if not config.place:
         return
+    from repro.place.runner import place_netlist
+
     result = place_netlist(
         context.netlist,
         library=context.library,

@@ -42,11 +42,12 @@ engine, so they share the worker pool (``--jobs``); the table presets and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
 from repro._version import __version__
@@ -65,23 +66,17 @@ from repro.designs.registry import (
     list_designs,
 )
 from repro.errors import ReproError
-from repro.explore.engine import PointOutcome, SweepResult, run_sweep
-from repro.explore.io import sweep_report, write_csv, write_json
-from repro.explore.spec import SweepSpec, table1_spec, table2_spec
-from repro.flows.compare import compare_methods
-from repro.netlist.verilog import to_verilog
-from repro.power.report import power_report
-from repro.report.tables import table1_from_records, table2_from_records
 from repro.tech.default_libs import resolve_library
-from repro.timing.report import timing_report
-from repro.verify import (
-    DEFAULT_GOLDEN_PATH,
-    add_domain_options,
-    domain_from_args,
-    run_self_test,
-    run_verify,
-    write_report,
-)
+from repro.verify.fuzz import add_domain_options
+from repro.verify.golden import DEFAULT_GOLDEN_PATH
+
+if TYPE_CHECKING:
+    from repro.explore.engine import PointOutcome, SweepResult
+    from repro.explore.spec import SweepSpec
+
+# A subcommand imports the layers it runs inside its ``_cmd_*`` body, so a
+# plain ``synth`` never loads the sweep engine, the verifier or the
+# history store.
 
 #: default method set for `compare` and `explore` (the paper's headline trio)
 _DEFAULT_COMPARE_METHODS = ("conventional", "csa_opt", "fa_aot")
@@ -120,9 +115,19 @@ def _cmd_list_designs(_: argparse.Namespace) -> int:
     return 0
 
 
+def _current_recorder() -> Optional[obs.RunRecorder]:
+    """The active run recorder, if any.
+
+    Only ``--history`` installs one, and installing one imports
+    :mod:`repro.obs.history`; a run that has not imported it has none.
+    """
+    history = sys.modules.get("repro.obs.history")
+    return history.current_recorder() if history is not None else None
+
+
 def _record_result(metrics: Optional[Dict[str, object]], key: Optional[str]) -> None:
     """Feed one synthesized design into the active run recorder (if any)."""
-    recorder = obs.current_recorder()
+    recorder = _current_recorder()
     if recorder is None:
         return
     if key is not None:
@@ -132,7 +137,7 @@ def _record_result(metrics: Optional[Dict[str, object]], key: Optional[str]) -> 
 
 def _record_sweep(sweep: SweepResult) -> None:
     """Feed a finished sweep into the active run recorder (if any)."""
-    recorder = obs.current_recorder()
+    recorder = _current_recorder()
     if recorder is None:
         return
     for outcome in sweep.outcomes:
@@ -161,14 +166,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.timing:
         if result.timing is None:
             raise SystemExit("--timing needs the 'timing' analysis (see --analyses)")
+        from repro.timing.report import timing_report
+
         print()
         print(timing_report(result.netlist, library, result.timing))
     if args.power:
         if result.power is None:
             raise SystemExit("--power needs the 'power' analysis (see --analyses)")
+        from repro.power.report import power_report
+
         print()
         print(power_report(result.netlist, result.power))
     if args.verilog:
+        from repro.netlist.verilog import to_verilog
+
         with open(args.verilog, "w", encoding="utf-8") as handle:
             handle.write(
                 to_verilog(
@@ -183,6 +194,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.flows.compare import compare_methods
+
     design = get_design(args.design)
     config = flow_config_from_args(args, method=args.methods[0])
     row = compare_methods(
@@ -216,6 +229,8 @@ def _stall_factor_from_args(args: argparse.Namespace):
 
 def _run_table_sweep(spec: SweepSpec, args: argparse.Namespace) -> SweepResult:
     """Run a paper-table preset sweep, mirroring the legacy progress lines."""
+    from repro.explore.engine import run_sweep
+
     announced = set()
 
     def progress(outcome: PointOutcome, _done: int, _total: int) -> None:
@@ -245,6 +260,9 @@ def _run_table_sweep(spec: SweepSpec, args: argparse.Namespace) -> SweepResult:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.explore.spec import table1_spec
+    from repro.report.tables import table1_from_records
+
     names = args.designs or TABLE1_DESIGN_NAMES
     spec = table1_spec(names, library=args.library, final_adder=args.final_adder)
     sweep = _run_table_sweep(spec, args)
@@ -253,6 +271,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.explore.spec import table2_spec
+    from repro.report.tables import table2_from_records
+
     names = args.designs or TABLE2_DESIGN_NAMES
     spec = table2_spec(
         names, seed=args.seed, library=args.library, final_adder=args.final_adder
@@ -263,6 +284,9 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.explore.engine import run_sweep
+    from repro.explore.io import sweep_report, write_csv, write_json
+
     spec = sweep_spec_from_args(args, designs=args.designs or TABLE1_DESIGN_NAMES)
 
     def progress(outcome: PointOutcome, done: int, total: int) -> None:
@@ -292,6 +316,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.verify.fuzz import domain_from_args
+    from repro.verify.report import write_report
+    from repro.verify.runner import run_self_test, run_verify
+
     if args.bless and args.no_golden:
         raise SystemExit(
             "--bless and --no-golden contradict each other: blessing rewrites "
@@ -341,7 +369,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
-    recorder = obs.current_recorder()
+    recorder = _current_recorder()
     if recorder is not None:
         designs = ",".join(args.designs) if args.designs else "all"
         recorder.add_key(
@@ -377,38 +405,40 @@ def _obs_store(args: argparse.Namespace) -> obs.HistoryStore:
 
 
 def _thresholds_from_args(args: argparse.Namespace) -> obs.Thresholds:
-    return obs.Thresholds(
-        qor_rel_tol=args.qor_tol,
-        wall_rel_tol=args.wall_tol,
-        min_wall_s=args.min_wall,
-        counter_rel_tol=args.counter_tol,
-        last_n=args.last_n,
-    )
+    """The sentinel thresholds; a flag left unset keeps the field default."""
+    given = {
+        "qor_rel_tol": args.qor_tol,
+        "wall_rel_tol": args.wall_tol,
+        "min_wall_s": args.min_wall,
+        "counter_rel_tol": args.counter_tol,
+        "last_n": args.last_n,
+    }
+    return obs.Thresholds(**{k: v for k, v in given.items() if v is not None})
 
 
 def _add_threshold_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("thresholds")
     group.add_argument(
-        "--qor-tol", type=float, default=obs.Thresholds.qor_rel_tol,
+        "--qor-tol", type=float,
         metavar="REL", help="relative tolerance for float QoR metrics",
     )
     group.add_argument(
-        "--wall-tol", type=float, default=obs.Thresholds.wall_rel_tol,
+        "--wall-tol", type=float,
         metavar="REL",
         help="relative wall-time tolerance after host-speed normalization",
     )
     group.add_argument(
-        "--min-wall", type=float, default=obs.Thresholds.min_wall_s,
+        "--min-wall", type=float,
         metavar="SECONDS",
         help="ignore spans below this duration; a drift must also exceed "
         "it in absolute seconds",
     )
     group.add_argument(
-        "--counter-tol", type=float, default=obs.Thresholds.counter_rel_tol,
+        "--counter-tol", type=float,
         metavar="REL", help="relative tolerance for counter totals",
     )
     group.add_argument(
-        "--last-n", type=int, default=obs.Thresholds.last_n,
+        "--last-n", type=int,
         metavar="N", help="baseline = median over the last N ok runs",
     )
 
@@ -1001,7 +1031,12 @@ def _run_command(args: argparse.Namespace) -> int:
     code: Optional[int] = None
     failed = False
     try:
-        with obs.tracing(tracer), obs.recording(recorder), obs.eventing(bus):
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(obs.tracing(tracer))
+            if recorder is not None:
+                stack.enter_context(obs.recording(recorder))
+            if bus is not None:
+                stack.enter_context(obs.eventing(bus))
             code = args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, int):

@@ -56,6 +56,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
+from repro.api import stages
 from repro.api.flow import Flow
 from repro.api.result import FlowResult
 from repro.designs.base import DatapathDesign
@@ -66,6 +67,11 @@ from repro.obs.manifest import peak_rss_bytes
 from repro.tech.library import TechLibrary
 
 log = get_logger("explore")
+
+# the stages import their backends on first use; loading them all here, at
+# module load and so before any pool forks, lets every worker inherit them
+# instead of paying the imports again on each cold sweep
+stages.import_backends()
 
 #: fault-injection hook symmetric to ``REPRO_STAGE_DELAY``:
 #: ``"<point-index>=<seconds>[,...]"`` makes the *first* attempt of the

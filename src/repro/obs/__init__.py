@@ -22,60 +22,8 @@ on the CLI (or :func:`tracing` around any API call) turns one run into a
 merged, cross-process timeline.
 """
 
-from repro.obs.chrome import (
-    trace_events,
-    trace_obj,
-    validate_trace_obj,
-    write_chrome_trace,
-)
-from repro.obs.events import (
-    EVENT_KINDS,
-    EVENT_SCHEMA,
-    EVENT_SCHEMA_VERSION,
-    EVENTS_FILENAME,
-    EventBus,
-    check_event_stream,
-    current_bus,
-    emit_event,
-    eventing,
-    load_events,
-    new_run_id,
-    point_heartbeat,
-    validate_event_obj,
-    worker_bus,
-)
-from repro.obs.history import (
-    HISTORY_ENV,
-    HistoryStore,
-    RunRecorder,
-    Thresholds,
-    build_record,
-    check_history,
-    current_recorder,
-    diff_records,
-    gating_findings,
-    recording,
-    render_findings,
-    select_baseline,
-    validate_record,
-)
+from repro._lazy import lazy_exports
 from repro.obs.logbridge import LOG_LEVELS, configure_logging, get_logger
-from repro.obs.manifest import (
-    git_provenance,
-    peak_rss_bytes,
-    run_manifest,
-    write_manifest,
-)
-from repro.obs.profile import profile_rows, render_profile
-from repro.obs.progress import ProgressRenderer
-from repro.obs.report import (
-    collapsed_stacks,
-    render_dashboard,
-    spans_from_trace_obj,
-    write_dashboard,
-    write_flamegraph,
-)
-from repro.obs.resource import ResourceSampler, cpu_seconds, rss_bytes, sample_resources
 from repro.obs.tracer import (
     Tracer,
     aggregate_spans,
@@ -85,6 +33,75 @@ from repro.obs.tracer import (
     gauge,
     span,
     tracing,
+)
+
+#: environment variable consulted when ``--history`` is not given; every
+#: CLI run reads it, so it lives here rather than in :mod:`repro.obs.history`
+HISTORY_ENV = "REPRO_HISTORY"
+
+# the tracer and the logging bridge above are tiny and on every hot path;
+# everything else loads on first use
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.chrome": (
+            "trace_events",
+            "trace_obj",
+            "validate_trace_obj",
+            "write_chrome_trace",
+        ),
+        "repro.obs.events": (
+            "EVENT_KINDS",
+            "EVENT_SCHEMA",
+            "EVENT_SCHEMA_VERSION",
+            "EVENTS_FILENAME",
+            "EventBus",
+            "check_event_stream",
+            "current_bus",
+            "emit_event",
+            "eventing",
+            "load_events",
+            "new_run_id",
+            "point_heartbeat",
+            "validate_event_obj",
+            "worker_bus",
+        ),
+        "repro.obs.history": (
+            "HistoryStore",
+            "RunRecorder",
+            "Thresholds",
+            "build_record",
+            "check_history",
+            "current_recorder",
+            "diff_records",
+            "gating_findings",
+            "recording",
+            "render_findings",
+            "select_baseline",
+            "validate_record",
+        ),
+        "repro.obs.manifest": (
+            "git_provenance",
+            "peak_rss_bytes",
+            "run_manifest",
+            "write_manifest",
+        ),
+        "repro.obs.profile": ("profile_rows", "render_profile"),
+        "repro.obs.progress": ("ProgressRenderer",),
+        "repro.obs.report": (
+            "collapsed_stacks",
+            "render_dashboard",
+            "spans_from_trace_obj",
+            "write_dashboard",
+            "write_flamegraph",
+        ),
+        "repro.obs.resource": (
+            "ResourceSampler",
+            "cpu_seconds",
+            "rss_bytes",
+            "sample_resources",
+        ),
+    },
 )
 
 __all__ = [

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
+from repro.obs import HISTORY_ENV  # noqa: F401  (re-exported)
 from repro.obs.logbridge import get_logger
 
 log = get_logger("obs.history")
@@ -46,9 +47,6 @@ RECORD_SCHEMA = "repro.obs.history.record"
 RECORD_SCHEMA_VERSION = 1
 INDEX_SCHEMA = "repro.obs.history.index"
 INDEX_SCHEMA_VERSION = 1
-
-#: environment variable consulted when ``--history`` is not given
-HISTORY_ENV = "REPRO_HISTORY"
 
 #: QoR metrics carried per design entry: counts compare exactly, floats
 #: within the tolerance band (mirrors the golden-metric harness)

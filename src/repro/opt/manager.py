@@ -37,18 +37,9 @@ from repro.opt.constant_fold import ConstantFoldPass
 from repro.opt.cse import CommonSubexpressionPass
 from repro.opt.dce import DeadCellEliminationPass
 from repro.opt.equivalence import check_netlists_equivalent
+from repro.opt.levels import OPT_LEVEL_HELP, OPT_LEVELS  # noqa: F401  (re-exported)
 from repro.opt.report import OptReport, PassStat
 from repro.opt.strength import StrengthReductionPass
-
-#: the supported ``-O`` levels
-OPT_LEVELS = (0, 1, 2)
-
-#: one-line description of the levels, shared by the CLI flag help and the
-#: :class:`repro.api.FlowConfig` field metadata (single source of truth)
-OPT_LEVEL_HELP = (
-    "netlist optimization level: 0 = as built (paper protocol), "
-    "1 = safe cleanups, 2 = full pipeline (always equivalence-checked)"
-)
 
 
 def default_pipeline(opt_level: int) -> List[RewritePass]:
@@ -176,15 +167,17 @@ class PassManager:
                     pass_start = time.perf_counter()
                     rewrites = rewrite_pass.run(netlist)
                     elapsed = time.perf_counter() - pass_start
+                    cells_after = netlist.num_cells()
                     pass_span.set(
                         rewrites=rewrites,
                         cells_before=cells_before,
-                        cells_after=netlist.num_cells(),
+                        cells_after=cells_after,
                     )
+                # counters are monotonic, and a pass may grow the netlist
+                # (mapping decomposes one FA into several gates)
                 obs.counter("opt.rewrites", rewrites)
-                obs.counter(
-                    "opt.cells_removed", cells_before - netlist.num_cells()
-                )
+                obs.counter("opt.cells_removed", max(cells_before - cells_after, 0))
+                obs.counter("opt.cells_added", max(cells_after - cells_before, 0))
                 touched = set(getattr(rewrite_pass, "touched_nets", ()) or ())
                 iteration_touched |= touched
                 stats.append(
@@ -193,7 +186,7 @@ class PassManager:
                         iteration=iteration,
                         rewrites=rewrites,
                         cells_before=cells_before,
-                        cells_after=netlist.num_cells(),
+                        cells_after=cells_after,
                         elapsed_s=elapsed,
                         touched_nets=len(touched),
                     )

@@ -27,18 +27,16 @@ import hashlib
 import random
 import time
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.api.config import FlowConfig, config_fields
-from repro.api.flow import Flow
 from repro.designs.registry import get_design, list_designs
-from repro.explore.engine import parallel_map
-from repro.explore.spec import SweepPoint
 from repro.netlist.validate import validate_netlist
 from repro.opt.base import RewritePass
-from repro.opt.manager import PassManager
-from repro.sim.equivalence import check_equivalence
+
+if TYPE_CHECKING:
+    from repro.explore.spec import SweepPoint
 
 #: config seeds are drawn from this range when the domain leaves them free
 SEED_DRAW_RANGE = 1 << 16
@@ -119,6 +117,8 @@ def sample_points(
     cases describe the same computation; if the (restricted) domain is
     smaller than ``n``, fewer cases are returned.
     """
+    from repro.explore.spec import SweepPoint
+
     rng = random.Random(seed)
     names = tuple(designs) if designs else tuple(list_designs())
     domain = domain if domain is not None else default_domain()
@@ -193,6 +193,10 @@ def _check_point_body(
     exhaustive_width_limit: int,
 ) -> Dict[str, object]:
     """The raising core of one fuzz case: returns only the keys it computed."""
+    from repro.api.flow import Flow
+    from repro.opt.manager import PassManager
+    from repro.sim.equivalence import check_equivalence
+
     record: Dict[str, object] = {}
     design = get_design(point.design)
     result = Flow(point.config()).run(design)
@@ -278,6 +282,8 @@ def run_fuzz(
             if progress is not None:
                 progress(records[-1], len(records), len(points))
         return records, False
+    from repro.explore.engine import parallel_map
+
     tracer = obs.current_tracer()
     worker = partial(_fuzz_worker, trace=tracer is not None)
     results, used_fallback = parallel_map(

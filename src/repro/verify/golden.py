@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.api.config import FlowConfig
 from repro.errors import VerificationError
-from repro.explore.engine import run_sweep
-from repro.explore.spec import SweepPoint
+
+if TYPE_CHECKING:
+    from repro.explore.spec import SweepPoint
 
 GOLDEN_SCHEMA = "repro.verify.golden-metrics"
 GOLDEN_SCHEMA_VERSION = 1
@@ -87,6 +88,8 @@ def golden_points() -> List["SweepPoint"]:
     ``fa_aot`` placed on the auto-sized fabric so placement QoR (HPWL and
     wire-aware delay) is pinned too.
     """
+    from repro.explore.spec import SweepPoint
+
     points: List[SweepPoint] = []
     for design in GOLDEN_DESIGNS:
         for method in GOLDEN_METHODS:
@@ -113,6 +116,8 @@ def run_golden_points(
     Returns ``(entries, used_fallback)`` — the fallback flag records a
     broken worker pool, like every other phase.
     """
+    from repro.explore.engine import run_sweep
+
     sweep = run_sweep(golden_points(), jobs=jobs)
     if not sweep.ok:
         failures = "; ".join(

@@ -1,10 +1,40 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+#: layers a plain ``synth`` never executes, so must never import
+COLD_SYNTH_UNUSED = (
+    "repro.explore.engine",
+    "repro.obs.history",
+    "repro.obs.events",
+    "repro.map.mapper",
+    "repro.opt.manager",
+    "repro.place.runner",
+    "repro.verify.runner",
+    "concurrent.futures.process",
+)
+
+
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter; return the JSON of its last line."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_HISTORY"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestParser:
@@ -112,3 +142,63 @@ class TestOptFlags:
         assert code == 0
         out = capsys.readouterr().out
         assert "-O0" in out and "-O2" in out
+
+
+class TestColdStart:
+    def test_synth_imports_only_the_layers_it_runs(self):
+        loaded = _fresh_interpreter(
+            "import contextlib, io, json, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['synth', '--design', 'x2']) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        assert sorted(set(COLD_SYNTH_UNUSED) & set(loaded)) == []
+
+    def test_sweep_imports_stage_backends_before_the_pool_forks(self):
+        report = _fresh_interpreter(
+            "import json, sys\n"
+            "import repro.explore\n"
+            "from repro.explore import SweepSpec, run_sweep\n"
+            "from repro.explore import engine\n"
+            "forks = []\n"
+            "class Pool(engine.ProcessPoolExecutor):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        forks.append(sorted(sys.modules))\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "engine.ProcessPoolExecutor = Pool\n"
+            "spec = SweepSpec(designs=('x2',), methods=('fa_aot', 'wallace'))\n"
+            "sweep = run_sweep(spec, jobs=2)\n"
+            "print(json.dumps({'ok': sweep.ok, 'forks': forks}))\n"
+        )
+        from repro.api.stages import BACKEND_MODULES
+
+        assert report["ok"] and report["forks"]
+        for loaded in report["forks"]:
+            assert sorted(set(BACKEND_MODULES) - set(loaded)) == []
+
+    def test_flow_imports_its_backends_before_the_spans_open(self):
+        """A cold run's stage spans time the stage's work, not its import."""
+        loaded = _fresh_interpreter(
+            "import json, sys\n"
+            "from repro import obs\n"
+            "from repro.api import Flow, FlowConfig\n"
+            "from repro.api.stages import BACKEND_MODULES\n"
+            "opened = {}\n"
+            "class Tracer(obs.Tracer):\n"
+            "    def span(self, name, **attrs):\n"
+            "        backends = [m for m in BACKEND_MODULES if m in sys.modules]\n"
+            "        opened.setdefault(name, backends)\n"
+            "        return super().span(name, **attrs)\n"
+            "config = FlowConfig(method='wallace', opt_level=2,\n"
+            "                    target_lib='nand2_basis', place=True)\n"
+            "with obs.tracing(Tracer()):\n"
+            "    Flow(config).run('x2')\n"
+            "print(json.dumps(opened['flow.run']))\n"
+        )
+        assert loaded == [
+            "repro.baselines.wallace",
+            "repro.map.mapper",
+            "repro.opt.manager",
+            "repro.place.runner",
+        ]

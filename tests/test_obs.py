@@ -282,6 +282,16 @@ class TestFlowAccounting:
         flow_span = [s for s in tracer.spans if s["name"] == "flow.run"]
         assert flow_span and "error" in flow_span[0]
 
+    def test_counters_are_monotonic(self):
+        """Mapping grows the netlist: that is cells added, not negative removal."""
+        config = FlowConfig(opt_level=2, target_lib="nand2_basis", map_objective="delay")
+        tracer = Tracer()
+        with obs.tracing(tracer):
+            Flow(config).run("x2")
+        assert tracer.counters["opt.cells_added"] > 0
+        negative = {k: v for k, v in tracer.counters.items() if v < 0}
+        assert not negative, negative
+
 
 class TestLogBridge:
     def test_levels_and_idempotent_configuration(self, capsys):
