@@ -6,8 +6,8 @@ that sweep a first-class object:
 
 * :class:`SweepSpec` / :class:`SweepPoint` (:mod:`repro.explore.spec`)
   declare a cartesian grid with constraint filters;
-* :func:`run_sweep` (:mod:`repro.explore.engine`) executes the points on a
-  process pool with per-point error capture and an on-disk JSON result
+* :func:`run_sweep` (:mod:`repro.explore.engine`) executes the points on
+  worker processes with per-point error capture and an on-disk JSON result
   cache (:mod:`repro.explore.cache`);
 * :mod:`repro.explore.analysis` extracts Pareto fronts, per-design winners
   and improvement matrices from the resulting metric records;

@@ -6,8 +6,8 @@ point list) into :class:`PointOutcome` records:
 * cached points are answered from the :class:`~repro.explore.cache.ResultCache`
   without synthesizing anything;
 * the remaining points run through :func:`execute_point` either serially or
-  on a ``ProcessPoolExecutor`` worker pool (``jobs > 1``), falling back to
-  serial execution when the platform cannot spawn worker processes;
+  on ``jobs`` worker processes (``jobs > 1``), falling back to serial
+  execution when the platform cannot start worker processes;
 * a point that raises is captured as a per-point error record instead of
   aborting the sweep.
 
@@ -18,15 +18,15 @@ metric dict, so no netlist ever crosses a process boundary.
 :func:`repro.flows.compare.compare_methods` runs on, which keeps the paper's
 table harnesses and ad-hoc sweeps on the same code path.
 
-The pool machinery itself is exposed as :func:`parallel_map`, a generic
+The worker machinery itself is exposed as :func:`parallel_map`, a generic
 fan-out over any picklable worker function with the same serial-fallback
 semantics — this is what the verification subsystem (:mod:`repro.verify`)
-runs its fuzz cases and metamorphic checks on.  A pool whose worker
-*process* dies (``BrokenProcessPool``) is rebuilt and the in-flight
-items are re-dispatched (only the point that was alone in flight is
-charged with the crash; co-resident siblings are requeued unpenalized),
-so a single crashed worker no longer degrades the whole fan-out to a
-serial re-run.
+runs its fuzz cases and metamorphic checks on.  Each worker process holds
+at most one item on its own pipe, so a worker that dies (EOF) is charged
+with exactly that item: a fresh worker replaces it and the item is
+re-dispatched while its siblings run on.  A second crash of the same item
+is final — an error record in sweeps, ``RuntimeError`` from
+:func:`parallel_map` — and never re-runs the item in the parent process.
 
 Observability: when a :mod:`repro.obs` tracer is active in the parent,
 every point runs under its own child tracer (in the worker process for
@@ -38,7 +38,7 @@ active (``--events`` / ``--live``), the dispatcher additionally streams
 daemon heartbeat thread appending ``heartbeat``/``resource`` gauges to
 the shared JSONL stream, and the dispatcher watches in-flight points: one
 exceeding ``stall_factor x`` the rolling median is flagged as a
-straggler, and one exceeding the hard ``point_timeout`` is abandoned,
+straggler, and one exceeding the hard ``point_timeout`` is killed,
 re-dispatched up to ``max_retries`` times, then recorded as errored —
 a hung worker can no longer hang the sweep.  ``REPRO_POINT_HANG`` plants
 such a hang for tests and CI, symmetric to ``REPRO_STAGE_DELAY``.
@@ -46,12 +46,15 @@ such a hang for tests and CI, symmetric to ``REPRO_STAGE_DELAY``.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
 import statistics
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -69,7 +72,7 @@ from repro.tech.library import TechLibrary
 log = get_logger("explore")
 
 # the stages import their backends on first use; loading them all here, at
-# module load and so before any pool forks, lets every worker inherit them
+# module load and so before any worker forks, lets every worker inherit them
 # instead of paying the imports again on each cold sweep
 stages.import_backends()
 
@@ -112,8 +115,8 @@ def execute_point(
     (see ``SweepPoint.config()``), so this is just one staged
     :class:`repro.api.Flow` run.  ``design`` / ``library`` may be passed to
     reuse already-built objects (the comparison harness does); otherwise
-    they are rebuilt from the point's registry names, which is what pool
-    workers do.
+    they are rebuilt from the point's registry names, which is what worker
+    processes do.
     """
     flow = Flow(point.config())
     return flow.run(design if design is not None else point.design, library=library)
@@ -129,12 +132,12 @@ def _run_one(
     """Worker body: (metrics, error, elapsed_s, telemetry). Never raises.
 
     With ``trace=True`` the point runs under its own :class:`repro.obs`
-    tracer (this is the trace context propagated across the process pool)
+    tracer (this is the trace context propagated across the process boundary)
     and the picklable telemetry dict carries the serialized spans and
     counters back to the parent, which adopts them into its tracer.
 
     ``events`` is the picklable telemetry-bus config
-    (``{path, run_id, heartbeat_s, parent_pid}``): inside a pool worker it
+    (``{path, run_id, heartbeat_s, parent_pid}``): inside a worker process it
     opens a per-process file bus on the shared JSONL stream, in the parent
     (serial sweeps, serial fallback) it reuses the active bus.  While the
     point runs, a daemon thread emits ``heartbeat``/``resource`` events —
@@ -281,8 +284,8 @@ ProgressFn = Callable[[PointOutcome, int, int], None]
 
 #: a picklable worker: one task in, one result out; must capture its own
 #: exceptions and encode failures in its result (a raising worker kills its
-#: process and is handled as a crashed worker: the pool is rebuilt and the
-#: item re-dispatched, then re-run serially if the pool stays unusable)
+#: process and is handled as a crashed worker: a fresh worker is started and
+#: the item re-dispatched, and a second crash on it is final)
 Worker = Callable[[object], object]
 
 
@@ -295,11 +298,11 @@ class _SweepMonitor:
     times (stall threshold and ETA source), stall/timeout/retry/crash
     accounting, and the ``point_*`` event emission on the active bus.
     A monitor with no bus and no timeout is inert: every hook degrades
-    to a counter update, and the dispatcher keeps its historic
-    submit-everything/blocking-wait behavior.
+    to a counter update, and the dispatcher blocks on results instead of
+    waking up every :attr:`tick_s`.
     """
 
-    #: dispatcher wake-up period while watching in-flight points
+    #: dispatcher wake-up period while scanning in-flight points
     tick_s = 0.05
     #: never flag a stall below this, whatever the median says
     stall_floor_s = 0.2
@@ -327,7 +330,6 @@ class _SweepMonitor:
         self.retries = 0
         self.timeouts = 0
         self.peak_rss_bytes: Optional[int] = None
-        self._started: Set[Tuple[int, int]] = set()
         self._stall_flagged: Set[Tuple[int, int]] = set()
 
     # -- configuration ------------------------------------------------
@@ -336,11 +338,6 @@ class _SweepMonitor:
     def active(self) -> bool:
         """True when this run should produce an ``events_summary``."""
         return self.bus is not None or self.point_timeout is not None
-
-    @property
-    def watching(self) -> bool:
-        """True when the dispatcher must wake up and scan in-flight points."""
-        return self.active
 
     def worker_events(self, parallel: bool) -> Optional[Dict]:
         """The picklable bus config handed to ``_run_one`` workers."""
@@ -370,16 +367,11 @@ class _SweepMonitor:
     # -- dispatcher hooks ---------------------------------------------
 
     def on_start(self, index: int) -> None:
-        attempt = self.attempts.get(index, 0)
-        key = (index, attempt)
-        if key in self._started:  # re-submission after a pool rebuild
-            return
-        self._started.add(key)
         self._emit(
             "point_start",
             index=index,
             point=self._label(index),
-            attempt=attempt,
+            attempt=self.attempts.get(index, 0),
             total=len(self.points),
             cached=False,
         )
@@ -390,7 +382,7 @@ class _SweepMonitor:
         self._emit("point_start", total=len(self.points), **common)
         self._emit("point_end", ok=True, elapsed_s=0.0, **common)
 
-    def on_result(self, index: int, raw: object, wall_s: float) -> None:
+    def on_result(self, index: int, raw: object) -> None:
         metrics, error, elapsed, telemetry = raw
         if telemetry:
             rss = telemetry.get("peak_rss_bytes")
@@ -475,7 +467,7 @@ class _SweepMonitor:
         return (
             None,
             f"TimeoutError: point exceeded point_timeout={self.point_timeout}s "
-            f"after {attempts} attempt(s); worker abandoned",
+            f"after {attempts} attempt(s); worker killed",
             elapsed,
             None,
         )
@@ -512,26 +504,6 @@ class _SweepMonitor:
         return summary
 
 
-def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut down a pool that may hold hung or crashed workers, without
-    waiting on them.
-
-    ``shutdown(wait=False, cancel_futures=True)`` drops the queued work;
-    terminating the worker processes (private map, best effort) unsticks
-    a truly hung worker so sweep exit never blocks on an abandoned point.
-    """
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - already-broken pools may raise
-        pass
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - racing process exit
-            pass
-
-
 def _run_serial(
     worker: Worker,
     pending: List[Tuple[int, object]],
@@ -541,12 +513,36 @@ def _run_serial(
     for index, item in pending:
         if monitor is not None:
             monitor.on_start(index)
-            start = time.perf_counter()
             raw = worker(item, *monitor.submit_args(index))
-            monitor.on_result(index, raw, time.perf_counter() - start)
+            monitor.on_result(index, raw)
             report(index, raw)
         else:
             report(index, worker(item))
+
+
+def _worker_main(conn: Connection, worker: Worker) -> None:
+    """Worker process body: run one item per message until the ``None``
+    sentinel.
+
+    The sentinel, not EOF, ends the loop: workers forked later inherit
+    this worker's parent-end handle, so closing it in the parent alone
+    would never reach EOF here.
+    """
+    while True:
+        args = conn.recv()
+        if args is None:
+            return
+        conn.send(worker(*args))
+
+
+def _start_worker(worker: Worker) -> Tuple[multiprocessing.Process, Connection]:
+    """Start one worker process; return it with the parent's pipe end."""
+    conn, child_conn = multiprocessing.Pipe()
+    process = multiprocessing.Process(target=_worker_main, args=(child_conn, worker))
+    process.start()
+    # the parent keeps only its end, so the worker's death reads as EOF
+    child_conn.close()
+    return process, conn
 
 
 def _run_parallel(
@@ -556,209 +552,120 @@ def _run_parallel(
     report: Callable[[int, object], None],
     monitor: Optional[_SweepMonitor] = None,
 ) -> bool:
-    """Run pending items on a process pool; True if any serial fallback ran.
+    """Run pending items on ``jobs`` worker processes; True if any serial
+    fallback ran.
 
-    Results are reported as they complete.  A broken pool (killed worker,
-    ``BrokenProcessPool``) is rebuilt and the in-flight items re-dispatched;
-    a crash only counts against an item when it is attributable (the item
-    was alone in flight at break time) — co-resident siblings are requeued
-    unpenalized and re-run one at a time until the culprit is isolated.
-    With a monitor, an item whose worker crashes twice (attributed) is
-    reported as a synthesized error result, and in-flight points are
-    watched for stalls and ``point_timeout`` overruns (timed-out futures
-    are abandoned and the point re-dispatched or errored).  Only when the
-    pool cannot be (re)built
-    do the unreported items re-run serially and the function return True.
+    Each worker has its own pipe and holds at most one item, and results
+    are reported as they arrive.  A worker that dies (EOF on its pipe) is
+    charged with exactly its one item: a fresh worker is started and the
+    item re-dispatched; at ``_MAX_CRASHES_PER_POINT`` crashes the item is
+    reported as the monitor's synthesized error result, or, without a
+    monitor, ``RuntimeError`` naming the item is raised.  With a monitor,
+    in-flight points are watched for stalls and ``point_timeout``
+    overruns: a timed-out worker is killed and replaced, and the point
+    re-dispatched or errored.  Only when no worker process can be started
+    do the unreported items run serially and the function return True.
     An exception raised by ``report`` itself (cache write failure,
-    progress-callback bug) propagates to the caller instead of silently
-    triggering a serial re-run.
+    progress-callback bug) propagates to the caller after the workers are
+    stopped.
     """
-    items: Dict[int, object] = dict(pending)
-    order = {index: position for position, (index, _) in enumerate(pending)}
-    queue: List[int] = [index for index, _ in pending]
-    try:
-        pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(max_workers=jobs)
-    except Exception:
-        _run_serial(worker, pending, report, monitor)
-        return True
-
-    futures: Dict = {}  # future -> (index, dispatch timestamp)
-    abandoned: List = []  # timed-out futures, possibly still running
-    completed: Set[int] = set()
+    queue = deque(pending)
+    workers: Dict[Connection, multiprocessing.Process] = {}
+    busy: Dict[Connection, Tuple[int, object, float]] = {}  # index, item, since
     crashes = monitor.crashes if monitor is not None else {}
-    # points co-resident with an unattributable pool break: requeued with
-    # no crash strike, then run one at a time (alone in flight) so the
-    # next break can be pinned on the point that actually caused it
-    suspects: Set[int] = set()
-    # unmonitored callers keep the historic rebuild-once budget; monitored
-    # ones may rebuild per crash because the rebuild budget itself bounds
-    # the suspect re-runs and per-point crash caps end attributed crashers
-    rebuilds_left = 1 if monitor is None else 1 + 2 * len(pending)
-    # monitored runs keep at most `jobs` futures in flight so a future's
-    # dispatch timestamp approximates its start time (queue wait must not
-    # count toward point_timeout); otherwise submit everything up front
-    window = jobs if monitor is not None and monitor.watching else len(items)
-    serial_rest = False
+    tick = _SweepMonitor.tick_s if monitor is not None and monitor.active else None
 
-    def finish(index: int, raw: object, wall_s: float) -> None:
-        suspects.discard(index)
+    def start() -> None:
+        with contextlib.suppress(OSError):  # with no worker left, run serially
+            process, conn = _start_worker(worker)
+            workers[conn] = process
+
+    def replace(conn: Connection) -> None:
+        process = workers.pop(conn)
+        process.kill()
+        process.join()
+        start()
+
+    def dispatch(conn: Connection, index: int, item: object) -> None:
+        args = (item,)
         if monitor is not None:
-            monitor.on_result(index, raw, wall_s)
-        completed.add(index)
+            monitor.on_start(index)
+            args += monitor.submit_args(index)
+        conn.send(args)
+        busy[conn] = (index, item, time.perf_counter())
+
+    def finish(index: int, raw: object) -> None:
+        if monitor is not None:
+            monitor.on_result(index, raw)
         report(index, raw)
 
-    def submit(index: int) -> None:
-        args = (items[index],)
-        if monitor is not None:
-            args += monitor.submit_args(index)
-        future = pool.submit(worker, *args)
-        futures[future] = (index, time.perf_counter())
-
-    def handle_crash(index: int, attributed: bool) -> None:
-        """This index's attempt died with the pool: requeue or give up.
-
-        Only an ``attributed`` crash (the point was alone in flight at
-        break time) earns a strike toward ``_MAX_CRASHES_PER_POINT``;
-        collateral siblings are requeued unpenalized as suspects so a
-        healthy point can never be errored by a crashing neighbor.
-        """
-        if attributed:
-            crashes[index] = crashes.get(index, 0) + 1
-            if monitor is not None and crashes[index] >= _MAX_CRASHES_PER_POINT:
-                log.warning(
-                    "sweep point index %d crashed its worker %d times; "
-                    "recording as error", index, crashes[index],
-                )
-                finish(index, monitor.crash_result(index), 0.0)
-                return
-        # requeue isolated either way: a proven crasher must not smash
-        # fresh siblings, an unattributed one must run alone so the next
-        # break can be attributed
-        suspects.add(index)
-        if monitor is not None:
-            monitor.on_retry(
-                index, reason="worker-crash" if attributed else "pool-break"
+    def give_up(index: int) -> None:
+        if monitor is None:
+            raise RuntimeError(
+                f"worker process crashed {crashes[index]} times running item {index}"
             )
-        queue.insert(0, index)
-
-    def rebuild_pool() -> bool:
-        nonlocal pool, rebuilds_left
-        if rebuilds_left <= 0:
-            return False
-        rebuilds_left -= 1
-        _abandon_pool(pool)
-        try:
-            pool = ProcessPoolExecutor(max_workers=jobs)
-        except Exception:
-            return False
-        log.warning("worker pool broke; rebuilt, re-dispatching pending points")
-        return True
+        finish(index, monitor.crash_result(index))
 
     try:
-        while queue or futures:
-            # every worker burning an abandoned task would starve fresh
-            # submissions: recycle the pool, requeue the never-started
-            zombies = sum(1 for f in abandoned if not f.done())
-            if zombies >= jobs:
-                for future, (index, _since) in sorted(
-                    futures.items(),
-                    key=lambda kv: order[kv[1][0]],
-                    reverse=True,
-                ):
-                    queue.insert(0, index)
-                futures.clear()
-                if not rebuild_pool():
-                    serial_rest = True
-                    break
-                abandoned.clear()  # the zombies died with the old pool
-                zombies = 0
-            # remaining zombies still occupy workers: shrink the window
-            # by their count so a fresh future never sits in the pool
-            # queue with its dispatch clock counting toward point_timeout;
-            # while suspects wait at the queue front, run one point at a
-            # time (alone in flight) so the next break is attributable
-            cur_window = 1 if suspects else max(1, window - zombies)
-            # top up the submission window
-            submit_failed: Optional[int] = None
-            while queue and len(futures) < cur_window:
-                index = queue.pop(0)
-                if monitor is not None:
-                    monitor.on_start(index)
-                try:
-                    submit(index)
-                except Exception:
-                    submit_failed = index
-                    break
-            if submit_failed is not None:
-                queue.insert(0, submit_failed)
-                if not rebuild_pool():
-                    serial_rest = True
-                    break
-                continue
-            if not futures:
-                continue
-            tick = _SweepMonitor.tick_s if (
-                monitor is not None and monitor.watching
-            ) else None
-            finished, _ = wait(
-                set(futures), timeout=tick, return_when=FIRST_COMPLETED
-            )
+        for _ in range(jobs):
+            start()
+        while queue or busy:
+            for conn in workers:
+                if queue and conn not in busy:
+                    dispatch(conn, *queue.popleft())
+            if not busy:
+                break  # no worker could be started
+            ready = wait(list(busy), timeout=tick)
             now = time.perf_counter()
-            pool_broke = False
-            crashed: List[int] = []
-            for future in finished:
-                index, since = futures.pop(future)
+            for conn in ready:
+                index, item, _since = busy.pop(conn)
                 try:
-                    raw = future.result()
-                except Exception:
-                    pool_broke = True
-                    crashed.append(index)
-                    continue
-                finish(index, raw, now - since)
-            if pool_broke:
-                # a break kills every in-flight sibling along with the
-                # pool, so the crash is attributable to a specific point
-                # only when that point was alone in flight (and no zombie
-                # worker could have been the one that died)
-                in_flight = crashed + [index for index, _ in futures.values()]
-                futures.clear()
-                sole = len(in_flight) == 1 and zombies == 0
-                for index in sorted(
-                    in_flight, key=lambda i: order[i], reverse=True
-                ):
-                    handle_crash(index, attributed=sole)
-                if not rebuild_pool():
-                    serial_rest = True
-                    break
-                continue
-            if monitor is not None and monitor.watching:
-                for future in list(futures):
-                    index, since = futures[future]
-                    elapsed = now - since
-                    monitor.check_stall(index, elapsed)
-                    if not monitor.timed_out(elapsed):
-                        continue
-                    del futures[future]
-                    future.cancel()  # almost certainly running; best effort
-                    abandoned.append(future)
-                    if monitor.can_retry(index):
-                        monitor.on_retry(index, reason="timeout", elapsed_s=elapsed)
-                        queue.append(index)
+                    raw = conn.recv()
+                except (EOFError, OSError):
+                    replace(conn)
+                    crashes[index] = crashes.get(index, 0) + 1
+                    if crashes[index] < _MAX_CRASHES_PER_POINT:
+                        if monitor is not None:
+                            monitor.on_retry(index, reason="worker-crash")
+                        queue.appendleft((index, item))
                     else:
-                        finish(index, monitor.timeout_result(index, elapsed), elapsed)
+                        give_up(index)
+                    continue
+                # the next item goes out before report() (cache write,
+                # progress) runs, so the worker never idles on the parent
+                if queue:
+                    dispatch(conn, *queue.popleft())
+                finish(index, raw)
+            if tick is None:
+                continue
+            for conn, (index, item, since) in list(busy.items()):
+                elapsed = now - since
+                monitor.check_stall(index, elapsed)
+                if not monitor.timed_out(elapsed):
+                    continue
+                del busy[conn]
+                replace(conn)
+                if monitor.can_retry(index):
+                    monitor.on_retry(index, reason="timeout", elapsed_s=elapsed)
+                    queue.append((index, item))
+                else:
+                    finish(index, monitor.timeout_result(index, elapsed))
     finally:
-        if pool is not None:
-            if any(not future.done() for future in abandoned):
-                _abandon_pool(pool)
+        for conn, process in workers.items():
+            if conn in busy:
+                process.kill()
             else:
-                pool.shutdown(wait=True)
-    if serial_rest:
-        log.warning("process pool unusable; remaining points run serially")
-        remaining = [
-            (index, items[index])
-            for index in sorted(set(items) - completed, key=lambda i: order[i])
-        ]
-        _run_serial(worker, remaining, report, monitor)
+                with contextlib.suppress(OSError):  # an idle worker already gone
+                    conn.send(None)
+            process.join()
+    if queue:
+        log.warning("no worker process could be started; points run serially")
+        for index, _item in queue:
+            if index in crashes:  # a worker's crasher never runs in-process
+                give_up(index)
+        _run_serial(
+            worker, [p for p in queue if p[0] not in crashes], report, monitor
+        )
         return True
     return False
 
@@ -769,16 +676,16 @@ def parallel_map(
     jobs: int = 1,
     progress: Optional[Callable[[object, int, int], None]] = None,
 ) -> Tuple[List[object], bool]:
-    """Map a picklable ``worker`` over ``items`` on the sweep worker pool.
+    """Map a picklable ``worker`` over ``items`` on the sweep's workers.
 
     Returns ``(results, used_fallback)`` with results in input order.
-    ``jobs <= 1`` runs serially; otherwise a ``ProcessPoolExecutor`` is used.
-    A crashed worker process no longer aborts the fan-out: the pool is
-    rebuilt once and the in-flight items are re-dispatched; only if it
-    breaks again do the unfinished items re-run serially (where a worker
-    exception propagates).  The worker must never raise — it should capture
-    failures in its result record (see :data:`Worker`).  ``progress`` is
-    invoked as ``(result, done_count, total)`` in completion order.
+    ``jobs <= 1`` runs serially.  A crashed worker process does not abort
+    the fan-out: a fresh worker replaces it and only its own item is
+    re-dispatched; an item that crashes its worker a second time raises
+    ``RuntimeError`` naming its index and is never re-run in this process.
+    The worker must never raise — it should capture failures in its result
+    record (see :data:`Worker`).  ``progress`` is invoked as
+    ``(result, done_count, total)`` in completion order.
     """
     results: Dict[int, object] = {}
 
@@ -809,7 +716,7 @@ def run_sweep(
     max_retries: int = 1,
     heartbeat_s: float = 1.0,
 ) -> SweepResult:
-    """Run every point of ``spec``, honouring the cache and the worker pool.
+    """Run every point of ``spec``, honouring the cache and the worker processes.
 
     Parameters
     ----------
@@ -823,10 +730,10 @@ def run_sweep(
     progress:
         Optional callback ``(outcome, done_count, total)`` invoked as each
         point resolves (cached points first, then completions in whatever
-        order the pool finishes them).
+        order the workers finish them).
     point_timeout:
         Hard per-point wall-time budget (parallel runs only): a point in
-        flight longer than this is abandoned, re-dispatched up to
+        flight longer than this has its worker killed and is re-dispatched up to
         ``max_retries`` times, then recorded as an error outcome — the
         sweep always accounts for every point instead of hanging.
     stall_factor:

@@ -248,11 +248,11 @@ _WORKER_BUS: Optional[EventBus] = None
 
 
 def worker_bus(path: Union[str, Path], run_id: str) -> EventBus:
-    """The per-process file-only bus used inside pool workers.
+    """The per-process file-only bus used inside sweep worker processes.
 
     Cached in a module global keyed by ``(path, run_id)`` so a worker
     process reused for many points keeps one strictly-monotone ``seq``
-    stream; pool rebuilds fork fresh processes and get fresh buses.
+    stream; a replacement worker is a fresh process with a fresh bus.
     """
     global _WORKER_BUS
     bus = _WORKER_BUS

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.core.delay_model import FADelayModel
 from repro.core.power_model import FAPowerModel
@@ -12,6 +20,26 @@ from repro.expr.signals import SignalSpec
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
 from repro.tech.default_libs import generic_035, unit_library
+
+
+@pytest.fixture(scope="session")
+def fresh_interpreter():
+    """Run code in a new interpreter; return the JSON of its last line."""
+
+    def run(code):
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_HISTORY"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    return run
 
 
 @pytest.fixture(scope="session")

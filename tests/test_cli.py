@@ -1,14 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.cli import build_parser, main
 
 #: layers a plain ``synth`` never executes, so must never import
@@ -22,19 +17,6 @@ COLD_SYNTH_UNUSED = (
     "repro.verify.runner",
     "concurrent.futures.process",
 )
-
-
-def _fresh_interpreter(code):
-    """Run ``code`` in a new interpreter; return the JSON of its last line."""
-    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_HISTORY"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestParser:
@@ -145,8 +127,8 @@ class TestOptFlags:
 
 
 class TestColdStart:
-    def test_synth_imports_only_the_layers_it_runs(self):
-        loaded = _fresh_interpreter(
+    def test_synth_imports_only_the_layers_it_runs(self, fresh_interpreter):
+        loaded = fresh_interpreter(
             "import contextlib, io, json, sys\n"
             "from repro.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -155,18 +137,20 @@ class TestColdStart:
         )
         assert sorted(set(COLD_SYNTH_UNUSED) & set(loaded)) == []
 
-    def test_sweep_imports_stage_backends_before_the_pool_forks(self):
-        report = _fresh_interpreter(
+    def test_sweep_imports_stage_backends_before_the_pool_forks(
+        self, fresh_interpreter
+    ):
+        report = fresh_interpreter(
             "import json, sys\n"
             "import repro.explore\n"
             "from repro.explore import SweepSpec, run_sweep\n"
             "from repro.explore import engine\n"
             "forks = []\n"
-            "class Pool(engine.ProcessPoolExecutor):\n"
-            "    def __init__(self, *args, **kwargs):\n"
-            "        forks.append(sorted(sys.modules))\n"
-            "        super().__init__(*args, **kwargs)\n"
-            "engine.ProcessPoolExecutor = Pool\n"
+            "start_worker = engine._start_worker\n"
+            "def recording_start(worker):\n"
+            "    forks.append(sorted(sys.modules))\n"
+            "    return start_worker(worker)\n"
+            "engine._start_worker = recording_start\n"
             "spec = SweepSpec(designs=('x2',), methods=('fa_aot', 'wallace'))\n"
             "sweep = run_sweep(spec, jobs=2)\n"
             "print(json.dumps({'ok': sweep.ok, 'forks': forks}))\n"
@@ -177,9 +161,9 @@ class TestColdStart:
         for loaded in report["forks"]:
             assert sorted(set(BACKEND_MODULES) - set(loaded)) == []
 
-    def test_flow_imports_its_backends_before_the_spans_open(self):
+    def test_flow_imports_its_backends_before_the_spans_open(self, fresh_interpreter):
         """A cold run's stage spans time the stage's work, not its import."""
-        loaded = _fresh_interpreter(
+        loaded = fresh_interpreter(
             "import json, sys\n"
             "from repro import obs\n"
             "from repro.api import Flow, FlowConfig\n"

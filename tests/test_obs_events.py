@@ -4,7 +4,7 @@ Covers the ``repro.obs.events`` v1 contract (schema validity, per-emitter
 ``seq`` monotonicity, the golden event-stream pin for a serial sweep), the
 sweep engine's straggler machinery (``REPRO_POINT_HANG`` → ``stall`` →
 ``retry`` → completion, timeout exhaustion → errored-not-lost), worker
-heartbeat liveness under ``jobs=2``, crashed-worker pool rebuilds, and the
+heartbeat liveness under ``jobs=2``, crashed-worker replacement, and the
 ``obs tail`` / ``obs events-check`` CLI surface.
 
 Golden re-pin after an intentional event-shape change::
@@ -13,6 +13,7 @@ Golden re-pin after an intentional event-shape change::
 """
 
 import json
+import multiprocessing
 import os
 import pathlib
 import time
@@ -361,6 +362,7 @@ class TestParallelTelemetry:
         assert "point_timeout" in sweep.failures[0].error
         assert sweep.events_summary["timeouts"] == 1
         assert sweep.events_summary["retries"] == 0
+        assert multiprocessing.active_children() == [], "hung worker outlived the sweep"
 
 
 def _crash_once_worker(item):
@@ -368,7 +370,7 @@ def _crash_once_worker(item):
     marker = os.path.join(marker_dir, f"crashed-{value}")
     if value == 3 and not os.path.exists(marker):
         open(marker, "w").close()
-        os._exit(1)  # hard worker death: BrokenProcessPool in the parent
+        os._exit(1)  # hard worker death: EOF on its pipe in the parent
     return value * 10
 
 
@@ -376,6 +378,10 @@ def _always_crash_worker(item, attempt=0, hang_s=0.0):
     if item == 1:
         os._exit(1)
     return (item, None, 0.01, None)
+
+
+def _raising_worker(item, attempt=0, hang_s=0.0):
+    raise ValueError(f"item {item}")  # kills a worker process
 
 
 def _slow_or_crash_worker(item, attempt=0, hang_s=0.0):
@@ -391,7 +397,31 @@ class TestCrashedWorkerRecovery:
         items = [(value, str(tmp_path)) for value in range(6)]
         results, used_fallback = parallel_map(_crash_once_worker, items, jobs=2)
         assert results == [0, 10, 20, 30, 40, 50]
-        assert not used_fallback, "one crash should rebuild the pool, not fall back"
+        assert not used_fallback, "one crash should replace the worker, not fall back"
+
+    def test_always_crashing_item_raises_in_the_parent(self, tmp_path, fresh_interpreter):
+        """An item that keeps killing its worker is never re-run in-process:
+        parallel_map raises instead of letting it kill the caller."""
+        (tmp_path / "crashy.py").write_text(
+            "import os\n"
+            "def exit_on_one(item):\n"
+            "    if item == 1:\n"
+            "        os._exit(7)\n"
+            "    return item\n"
+        )
+        report = fresh_interpreter(
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(tmp_path)!r})\n"
+            "from crashy import exit_on_one\n"
+            "from repro.explore.engine import parallel_map\n"
+            "try:\n"
+            "    parallel_map(exit_on_one, [0, 1, 2, 3], jobs=2)\n"
+            "    error = None\n"
+            "except RuntimeError as exc:\n"
+            "    error = str(exc)\n"
+            "print(json.dumps({'error': error}))\n"
+        )
+        assert report["error"] is not None and "item 1" in report["error"]
 
     def test_repeated_crash_records_error_result(self):
         points = [
@@ -417,20 +447,60 @@ class TestCrashedWorkerRecovery:
         retries = [e["attrs"]["reason"] for e in events if e["kind"] == "retry"]
         assert "worker-crash" in retries
         assert monitor.crashes[1] == 2
-        # the healthy sibling may have been collateral of the pool break
-        # but must never accumulate crash strikes of its own
+        # the healthy sibling never accumulates crash strikes of its own
         assert monitor.crashes.get(0, 0) == 0
 
+    def test_crasher_never_reruns_in_process_when_no_worker_starts(
+        self, monkeypatch
+    ):
+        """When crashed workers cannot be replaced, the serial fallback
+        must not re-run their items in the parent."""
+        from repro.explore import engine
+
+        def start_at_most_two(start=engine._start_worker):
+            started = []
+
+            def limited(worker):
+                if len(started) == 2:
+                    raise OSError("cannot start another process")
+                started.append(worker)
+                return start(worker)
+
+            return limited
+
+        monkeypatch.setattr(engine, "_start_worker", start_at_most_two())
+        with pytest.raises(RuntimeError, match="running item"):
+            parallel_map(_raising_worker, [0, 1], jobs=2)
+        monkeypatch.setattr(engine, "_start_worker", start_at_most_two())
+        points = [
+            SweepPoint(design="x2", method="fa_aot"),
+            SweepPoint(design="x2", method="wallace"),
+        ]
+        got = {}
+        used_fallback = _run_parallel(
+            _raising_worker,
+            list(enumerate([0, 1])),
+            2,
+            lambda index, raw: got.__setitem__(index, raw),
+            _SweepMonitor(points, bus=None),
+        )
+        assert used_fallback
+        assert sorted(got) == [0, 1]
+        assert all("crashed" in got[index][1] for index in got)
+
     def test_crash_strikes_never_hit_coresident_siblings(self):
-        """A doubly-crashing point must not error out healthy points that
-        happened to share the pool at break time (collateral siblings are
-        requeued unpenalized and re-run)."""
+        """A doubly-crashing point must not error out, retry or re-run the
+        healthy points in flight beside it: each crash is charged to the
+        crasher alone."""
         points = [
             SweepPoint(design="x2", method="fa_aot"),
             SweepPoint(design="x2", method="wallace"),
             SweepPoint(design="x2", method="cla"),
         ]
-        monitor = _SweepMonitor(points, bus=None, point_timeout=30.0)
+        bus = obs.EventBus()
+        events = []
+        bus.subscribe(events.append)
+        monitor = _SweepMonitor(points, bus=bus, point_timeout=30.0)
         got = {}
         used_fallback = _run_parallel(
             _slow_or_crash_worker,
@@ -447,6 +517,14 @@ class TestCrashedWorkerRecovery:
         assert monitor.crashes.get(0, 0) == 0
         assert monitor.crashes.get(2, 0) == 0
         assert monitor.crashes[1] == 2
+        retries = [
+            (e["attrs"]["index"], e["attrs"]["reason"])
+            for e in events
+            if e["kind"] == "retry"
+        ]
+        assert retries == [(1, "worker-crash")]
+        starts = [e["attrs"]["index"] for e in events if e["kind"] == "point_start"]
+        assert starts == [0, 1, 2, 1]
 
 
 class TestEventsCli:
