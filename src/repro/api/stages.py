@@ -60,11 +60,11 @@ from repro.errors import ConfigError
 from repro.map.targets import GENERIC_TARGET
 from repro.netlist.cells import CellType
 from repro.netlist.core import Bus, Netlist
-from repro.netlist.stats import netlist_stats
+from repro.netlist.stats import cached_stats
 from repro.power.probability import propagate_probabilities
 from repro.power.switching import estimate_power
 from repro.tech.library import TechLibrary
-from repro.timing.arrival import compute_arrival_times
+from repro.timing.arrival import cached_arrival_times
 
 #: the backend of each baseline method, imported by the stage that runs it
 _METHOD_BACKENDS = {
@@ -437,8 +437,10 @@ def timing_analysis(context: FlowContext):
 
     After a place stage the context carries per-net wire delays, so the
     reported critical path (and ``FlowResult.delay_ns``) is wire-aware.
+    The sweep is cached per netlist state: after a map or place stage it
+    is the one that stage already ran.
     """
-    return compute_arrival_times(
+    return cached_arrival_times(
         context.netlist, context.library, net_delays=context.net_delays
     )
 
@@ -455,5 +457,8 @@ def power_analysis(context: FlowContext):
 
 @register_analysis("stats")
 def stats_analysis(context: FlowContext):
-    """Structural statistics: cell counts, area, net counts."""
-    return netlist_stats(context.netlist, context.library)
+    """Structural statistics: cell counts, area, net counts.
+
+    Cached per netlist state, like the timing analysis.
+    """
+    return cached_stats(context.netlist, context.library)

@@ -2,13 +2,20 @@
 
 Area is computed against a technology library (see :mod:`repro.tech`); the
 structural statistics (counts, depth) are library-independent.
+
+:func:`netlist_stats` always recomputes and is the reference;
+:func:`cached_stats` is what the flow calls: it counts cells and measures
+the logic depth once per netlist :attr:`~repro.netlist.core.Netlist.generation`
+and sums the area once per library object, the way
+:func:`repro.sim.program.cached_program` compiles once per generation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
 
@@ -55,29 +62,78 @@ def logic_depth(netlist: Netlist) -> int:
     return best
 
 
+def _structure(netlist: Netlist) -> Tuple[Dict[str, int], int]:
+    """Cell counts by type and logic depth (one ``netlist.stats_runs``)."""
+    obs.counter("netlist.stats_runs")
+    counts: Dict[str, int] = {}
+    for cell in netlist.cells.values():
+        counts[cell.cell_type.value] = counts.get(cell.cell_type.value, 0) + 1
+    return counts, logic_depth(netlist)
+
+
+def _area(netlist: Netlist, library: Optional[object]) -> Optional[float]:
+    """Total cell area against ``library``, summed in cell order."""
+    if library is None:
+        return None
+    area = 0.0
+    for cell in netlist.cells.values():
+        area += library.area(cell.cell_type)
+    return area
+
+
+def _assemble(
+    netlist: Netlist, counts: Dict[str, int], depth: int, area: Optional[float]
+) -> NetlistStats:
+    return NetlistStats(
+        name=netlist.name,
+        cell_counts=dict(counts),
+        num_cells=len(netlist.cells),
+        num_nets=len(netlist.nets),
+        num_inputs=len(netlist.primary_inputs),
+        num_outputs=len(netlist.primary_outputs),
+        logic_depth=depth,
+        area=area,
+    )
+
+
 def netlist_stats(netlist: Netlist, library: Optional[object] = None) -> NetlistStats:
     """Compute :class:`NetlistStats` for ``netlist``.
 
     ``library`` may be a :class:`repro.tech.TechLibrary`; when provided, total
     cell area is included.
     """
-    counts: Dict[str, int] = {}
-    for cell in netlist.cells.values():
-        counts[cell.cell_type.value] = counts.get(cell.cell_type.value, 0) + 1
+    counts, depth = _structure(netlist)
+    return _assemble(netlist, counts, depth, _area(netlist, library))
 
-    area: Optional[float] = None
-    if library is not None:
-        area = 0.0
-        for cell in netlist.cells.values():
-            area += library.area(cell.cell_type)
 
-    return NetlistStats(
-        name=netlist.name,
-        cell_counts=counts,
-        num_cells=len(netlist.cells),
-        num_nets=len(netlist.nets),
-        num_inputs=len(netlist.primary_inputs),
-        num_outputs=len(netlist.primary_outputs),
-        logic_depth=logic_depth(netlist),
-        area=area,
-    )
+@dataclass
+class _StatsMemo:
+    """What :func:`cached_stats` keeps for one netlist generation."""
+
+    generation: int
+    counts: Dict[str, int]
+    depth: int
+    #: (library, its area) per library object priced so far
+    areas: List[Tuple[object, float]] = field(default_factory=list)
+
+
+def cached_stats(netlist: Netlist, library: Optional[object] = None) -> NetlistStats:
+    """:func:`netlist_stats`, computed once per netlist state.
+
+    The counts and the depth are memoized on the netlist object for its
+    current :attr:`~repro.netlist.core.Netlist.generation`, the area per
+    library object (compared by identity and held by reference).  The
+    next structural mutation bumps the generation, and the next call then
+    drops the memo and recomputes, so a stale count is never returned.
+    Every call returns a fresh :class:`NetlistStats` equal to what
+    :func:`netlist_stats` returns.
+    """
+    memo = getattr(netlist, "_stats_memo", None)
+    if memo is None or memo.generation != netlist.generation:
+        memo = _StatsMemo(netlist.generation, *_structure(netlist))
+        netlist._stats_memo = memo
+    area = next((area for priced, area in memo.areas if priced is library), None)
+    if area is None and library is not None:
+        area = _area(netlist, library)
+        memo.areas.append((library, area))
+    return _assemble(netlist, memo.counts, memo.depth, area)

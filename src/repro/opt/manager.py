@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Set
 from repro import obs
 from repro.errors import OptimizationError
 from repro.netlist.core import Netlist
-from repro.netlist.stats import netlist_stats
+from repro.netlist.stats import cached_stats
 from repro.netlist.validate import validate_netlist
 from repro.opt.base import RewritePass
 from repro.opt.cleanup import CleanupPass
@@ -140,16 +140,18 @@ class PassManager:
     def run(self, netlist: Netlist) -> OptReport:
         """Optimize ``netlist`` in place and return the report."""
         start = time.perf_counter()
-        before = netlist_stats(netlist, self.library)
+        with obs.span("opt.stats"):
+            before = cached_stats(netlist, self.library)
         reference: Optional[Netlist] = None
         if self.check_equivalence:
-            reference = netlist.copy(name=f"{netlist.name}_preopt")
+            with obs.span("opt.snapshot", cells=netlist.num_cells()):
+                reference = netlist.copy(name=f"{netlist.name}_preopt")
 
         timing = None
         if self.timing_library is not None:
-            from repro.timing.arrival import compute_arrival_times
+            from repro.timing.arrival import cached_arrival_times
 
-            timing = compute_arrival_times(netlist, self.timing_library)
+            timing = cached_arrival_times(netlist, self.timing_library)
         delay_before = timing.delay if timing is not None else None
 
         stats: List[PassStat] = []
@@ -220,12 +222,14 @@ class PassManager:
                     reference, netlist, "after the full pipeline"
                 )
 
+        with obs.span("opt.stats"):
+            after = cached_stats(netlist, self.library)
         return OptReport(
             opt_level=self.opt_level,
             iterations=iterations,
             converged=converged,
             before=before,
-            after=netlist_stats(netlist, self.library),
+            after=after,
             passes=stats,
             equivalence=equivalence,
             validated=self.validate,

@@ -5,7 +5,10 @@ backend runs it: size (or accept) the fabric, pack an initial placement,
 refine it with the seeded annealer, hard-validate the result, then derive
 the downstream physical views — per-net wire delays (fed into wire-aware
 static timing) and the congestion map.  Each sub-step runs once, under
-its own ``place.*`` span, and all of them share one net-pin index.  The
+its own ``place.*`` span (``place.seed`` sizes the fabric, packs the
+initial placement and builds the net-pin index all of them share).  The
+pre/post-place delays come from :func:`repro.timing.arrival.cached_arrival_times`,
+so the wire-aware sweep is the one the flow's timing analysis reuses.  The
 returned :class:`PlaceResult` carries the placement object, the wire-delay
 map and the summary :class:`~repro.place.report.PlaceReport`.
 """
@@ -63,13 +66,15 @@ def place_netlist(
     it the report carries geometry metrics only.
     """
     start = time.perf_counter()
-    sized = auto_size(netlist)
-    fabric = FabricGrid(
-        rows=sized.rows if rows is None else rows,
-        cols=sized.cols if cols is None else cols,
-    )
-    placement = greedy_initial_placement(netlist, fabric)
-    net_pins = net_pin_index(netlist)
+    with obs.span("place.seed", cells=netlist.num_cells()):
+        sized = auto_size(netlist)
+        fabric = FabricGrid(
+            rows=sized.rows if rows is None else rows,
+            cols=sized.cols if cols is None else cols,
+        )
+        placement = greedy_initial_placement(netlist, fabric)
+        net_pins = net_pin_index(netlist)
+        sites_used = site_demand(netlist)
     with obs.span("place.anneal", cells=len(placement.origins), iters=iters):
         stats = anneal(netlist, placement, net_pins, seed=seed, iters=iters)
     with obs.span("place.validate"):
@@ -80,17 +85,17 @@ def place_netlist(
         congestion = congestion_map(placement, net_pins)
     pre_delay = post_delay = None
     if library is not None:
-        from repro.timing.arrival import compute_arrival_times
+        from repro.timing.arrival import cached_arrival_times
 
         with obs.span("place.timing"):
-            pre_delay = round(compute_arrival_times(netlist, library).delay, 9)
+            pre_delay = round(cached_arrival_times(netlist, library).delay, 9)
             post_delay = round(
-                compute_arrival_times(netlist, library, net_delays=delays).delay, 9
+                cached_arrival_times(netlist, library, net_delays=delays).delay, 9
             )
     report = PlaceReport(
         fabric_rows=fabric.rows,
         fabric_cols=fabric.cols,
-        sites_used=site_demand(netlist),
+        sites_used=sites_used,
         seed=seed,
         iters=iters,
         moves=stats.moves,

@@ -186,7 +186,8 @@ def compute_arrival_times(
     recomputation stops at the frontier where values stop changing.  The
     full sweep remains the sign-off reference; a fuzz property pins
     incremental ≡ full exactly (identical float operations per net, so
-    equality is bitwise, not approximate).
+    equality is bitwise, not approximate).  Each full sweep counts one
+    ``timing.full_runs``; an incremental update counts none.
     """
     explicit = _normalize_input_arrivals(netlist, input_arrivals)
     wire = net_delays or {}
@@ -203,6 +204,7 @@ def compute_arrival_times(
             set(changed_nets or ()),
         )
 
+    obs.counter("timing.full_runs")
     arrivals: Dict[str, float] = {}
     for net in netlist.nets.values():
         if net.is_constant or net.is_primary_input:
@@ -218,6 +220,35 @@ def compute_arrival_times(
             )
 
     return _finalize(netlist, arrivals)
+
+
+def cached_arrival_times(
+    netlist: Netlist,
+    library: TechLibrary,
+    net_delays: Optional[Mapping[str, float]] = None,
+) -> TimingResult:
+    """The full sweep of :func:`compute_arrival_times`, once per netlist state.
+
+    Results are memoized on the netlist object under the key
+    ``(generation, library, net_delays)``; the library and the wire-delay
+    map are compared by identity and held by reference, so a caller must
+    not mutate a ``net_delays`` dict it has timed with.  The next
+    structural mutation bumps the generation, and the next call then
+    drops the memo and re-sweeps, so a stale result is never returned.
+    Every caller of one state shares one :class:`TimingResult`; treat it
+    as read-only.  Only the default-argument sweep is cached: explicit
+    input arrivals and incremental updates call :func:`compute_arrival_times`.
+    """
+    memo = getattr(netlist, "_timing_memo", None)
+    if memo is None or memo[0] != netlist.generation:
+        memo = (netlist.generation, [])
+        netlist._timing_memo = memo
+    for timed_library, timed_delays, result in memo[1]:
+        if timed_library is library and timed_delays is net_delays:
+            return result
+    result = compute_arrival_times(netlist, library, net_delays=net_delays)
+    memo[1].append((library, net_delays, result))
+    return result
 
 
 def _incremental_arrival_times(

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro import obs
 from repro.api import Flow, FlowConfig, STAGE_ORDER
 from repro.cli import build_parser
 from repro.designs.registry import get_design, list_designs
@@ -30,6 +31,8 @@ from repro.netlist.cells import (
 from repro.netlist.core import Netlist
 from repro.netlist.validate import validate_netlist
 from repro.netlist.verilog import to_verilog
+from repro.opt.cleanup import CleanupPass
+from repro.opt.dce import DeadCellEliminationPass
 from repro.sim.evaluator import evaluate_vectors
 from repro.tech import generic_035
 from repro.tech.target_libs import TARGET_LIBRARY_NAMES
@@ -236,6 +239,68 @@ class TestMapNetlist:
             ), name
             equivalence = result.map_report.opt_report.equivalence
             assert equivalence is not None and equivalence.equivalent, name
+
+
+def _second_round_rewrites(design, target, objective, opt_level=0, method="fa_aot"):
+    """Rewrites a second cover + cleanup + DCE round makes after the flow's map."""
+    result = Flow(
+        FlowConfig(
+            method=method,
+            opt_level=opt_level,
+            target_lib=target,
+            map_objective=objective,
+            analyses=(),
+        )
+    ).run(design)
+    report = result.map_report
+    assert (report.opt_report.iterations, report.opt_report.converged) == (1, True)
+    passes = [
+        TechnologyMappingPass(report.library, objective=objective),
+        CleanupPass(),
+        DeadCellEliminationPass(),
+    ]
+    return [p.run(result.netlist) for p in passes]
+
+
+class TestOneSweep:
+    """``map_netlist`` maps in one cover + cleanup/DCE sweep: a second changes nothing."""
+
+    @pytest.mark.parametrize("target", CONCRETE_TARGETS)
+    @pytest.mark.parametrize("objective", MAP_OBJECTIVES)
+    @pytest.mark.parametrize("design", ["x2", "x3", "x2_plus_x_plus_y"])
+    def test_second_round_rewrites_nothing(self, design, target, objective):
+        assert _second_round_rewrites(design, target, objective) == [0, 0, 0]
+
+    @pytest.mark.slow
+    def test_second_round_rewrites_nothing_on_the_registry_matrix(self):
+        configs = itertools.product(
+            list_designs(), CONCRETE_TARGETS, MAP_OBJECTIVES, (0, 2),
+            ("fa_aot", "conventional"),
+        )
+        for design, target, objective, opt_level, method in configs:
+            rewrites = _second_round_rewrites(
+                design, target, objective, opt_level, method
+            )
+            assert rewrites == [0, 0, 0], (design, target, objective, opt_level, method)
+
+    def test_every_map_sub_step_nests_under_map_netlist(self):
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            _synth(target_lib="nand2_basis")
+        (mapping,) = [s for s in tracer.spans if s["name"] == "map.netlist"]
+        children = [s["name"] for s in tracer.spans if s["parent"] == mapping["id"]]
+        # one iteration of each pass, and no analysis outside a span
+        assert children == [
+            "map.before",
+            "opt.stats",
+            "opt.snapshot",
+            "opt.tech-map",
+            "opt.buf-not-cleanup",
+            "opt.dce",
+            "opt.equivalence-check",
+            "opt.stats",
+            "map.after",
+        ]
 
 
 # ----------------------------------------------------------- flow integration

@@ -311,6 +311,7 @@ class TestFlowIntegration:
         (place,) = [s for s in tracer.spans if s["name"] == "flow.place"]
         children = {s["name"] for s in tracer.spans if s["parent"] == place["id"]}
         assert children == {
+            "place.seed",
             "place.anneal",
             "place.validate",
             "place.wires",
