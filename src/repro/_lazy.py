@@ -4,7 +4,7 @@ A package ``__init__`` lists which names each submodule provides and binds
 the two hooks this module builds::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
-        "repro.obs.history": ("HistoryStore", "recording"),
+        "repro.obs.history": ("HistoryStore", "RunRecorder"),
     })
 
 ``pkg.HistoryStore`` (or ``from pkg import HistoryStore``) imports

@@ -115,19 +115,11 @@ def _cmd_list_designs(_: argparse.Namespace) -> int:
     return 0
 
 
-def _current_recorder() -> Optional[obs.RunRecorder]:
-    """The active run recorder, if any.
-
-    Only ``--history`` installs one, and installing one imports
-    :mod:`repro.obs.history`; a run that has not imported it has none.
-    """
-    history = sys.modules.get("repro.obs.history")
-    return history.current_recorder() if history is not None else None
-
-
-def _record_result(metrics: Optional[Dict[str, object]], key: Optional[str]) -> None:
-    """Feed one synthesized design into the active run recorder (if any)."""
-    recorder = _current_recorder()
+def _record_result(
+    args: argparse.Namespace, metrics: Optional[Dict[str, object]], key: Optional[str]
+) -> None:
+    """Feed one synthesized design into the run recorder (under ``--history``)."""
+    recorder = args.recorder
     if recorder is None:
         return
     if key is not None:
@@ -135,24 +127,20 @@ def _record_result(metrics: Optional[Dict[str, object]], key: Optional[str]) -> 
     recorder.add_qor(metrics)
 
 
-def _record_sweep(sweep: SweepResult) -> None:
-    """Feed a finished sweep into the active run recorder (if any)."""
-    recorder = _current_recorder()
-    if recorder is None:
-        return
+def _record_sweep(args: argparse.Namespace, sweep: SweepResult) -> None:
+    """Feed a finished sweep into the run recorder (under ``--history``)."""
     for outcome in sweep.outcomes:
-        recorder.add_key(f"{outcome.point.design}:{outcome.point.digest()}")
-        if outcome.metrics is not None:
-            recorder.add_qor(outcome.metrics)
-    if sweep.events_summary:
-        recorder.add_extra(events_summary=sweep.events_summary)
+        key = f"{outcome.point.design}:{outcome.point.digest()}"
+        _record_result(args, outcome.metrics, key)
+    if args.recorder is not None and sweep.events_summary:
+        args.recorder.add_extra(events_summary=sweep.events_summary)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = flow_config_from_args(args)
     library = resolve_library(config.library)
     result = Flow(config).run(args.design, library=library)
-    _record_result(result.to_dict(), f"{args.design}:{config.cache_digest()}")
+    _record_result(args, result.to_dict(), f"{args.design}:{config.cache_digest()}")
     print(result.summary())
     if result.opt_report is not None:
         print()
@@ -204,6 +192,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for method in args.methods:
         result = row.results[method]
         _record_result(
+            args,
             result.to_dict(),
             f"{design.name}:{result.config.cache_digest()}"
             if result.config is not None
@@ -251,7 +240,7 @@ def _run_table_sweep(spec: SweepSpec, args: argparse.Namespace) -> SweepResult:
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
-    _record_sweep(sweep)
+    _record_sweep(args, sweep)
     if not sweep.ok:
         for outcome in sweep.failures:
             log.error("  FAILED %s: %s", outcome.point.label(), outcome.error)
@@ -301,7 +290,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         point_timeout=getattr(args, "point_timeout", None),
         stall_factor=_stall_factor_from_args(args),
     )
-    _record_sweep(sweep)
+    _record_sweep(args, sweep)
     print(sweep_report(sweep, pareto=args.pareto))
     try:
         if args.json:
@@ -369,7 +358,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
-    recorder = _current_recorder()
+    recorder = args.recorder
     if recorder is not None:
         designs = ",".join(args.designs) if args.designs else "all"
         recorder.add_key(
@@ -996,7 +985,9 @@ def _run_command(args: argparse.Namespace) -> int:
     Commands without the shared flags (``list-designs``, the ``obs``
     family) run bare.  A tracer is installed when ``--trace`` /
     ``--profile`` asked for spans or ``--history`` needs span summaries,
-    so plain runs keep the disabled-tracing fast path; likewise an
+    so plain runs keep the disabled-tracing fast path; ``--history``
+    puts a :class:`repro.obs.RunRecorder` on ``args.recorder`` (``None``
+    otherwise) for the command to feed; likewise an
     :class:`repro.obs.EventBus` only exists under ``--events`` /
     ``--live``, bracketing the command in ``run_start`` / ``run_end``
     events with a resource-gauge sampler (and the live progress renderer)
@@ -1013,6 +1004,7 @@ def _run_command(args: argparse.Namespace) -> int:
         obs.Tracer() if (args.trace or args.profile or history_dir) else None
     )
     recorder = obs.RunRecorder(args.command) if history_dir else None
+    args.recorder = recorder
     events_dir = getattr(args, "events", None)
     bus = None
     sampler = None
@@ -1033,9 +1025,7 @@ def _run_command(args: argparse.Namespace) -> int:
     try:
         with contextlib.ExitStack() as stack:
             stack.enter_context(obs.tracing(tracer))
-            if recorder is not None:
-                stack.enter_context(obs.recording(recorder))
-            if bus is not None:
+            if bus is not None:  # events load only when asked for
                 stack.enter_context(obs.eventing(bus))
             code = args.func(args)
     except SystemExit as exc:
@@ -1062,7 +1052,9 @@ def _run_command(args: argparse.Namespace) -> int:
                 wall_s=round(wall_s, 6),
             )
             if recorder is not None:
-                recorder.add_extra(events_summary=bus.summary())
+                # a sweep's roll-up (utilization, timeouts) extends the bus's
+                sweep_summary = recorder.extra.get("events_summary", {})
+                recorder.add_extra(events_summary={**bus.summary(), **sweep_summary})
             bus.close()
         _emit_observability(args, tracer, wall_s, status=status, exit_code=exit_code)
         if recorder is not None and history_dir is not None:

@@ -34,13 +34,16 @@ parallel sweeps) and ships its spans back with the metric record; the
 parent adopts them, so one ``--trace`` file renders the whole sweep as a
 merged multi-process timeline.  When an :class:`repro.obs.EventBus` is
 active (``--events`` / ``--live``), the dispatcher additionally streams
-``point_start``/``point_end``/``stall``/``retry`` events, workers run a
-daemon heartbeat thread appending ``heartbeat``/``resource`` gauges to
-the shared JSONL stream, and the dispatcher watches in-flight points: one
-exceeding ``stall_factor x`` the rolling median is flagged as a
-straggler, and one exceeding the hard ``point_timeout`` is killed,
-re-dispatched up to ``max_retries`` times, then recorded as errored —
-a hung worker can no longer hang the sweep.  ``REPRO_POINT_HANG`` plants
+``point_start``/``point_end``/``stall``/``retry`` events.  Each worker
+then has a bus of its own that sends every event up the worker's pipe:
+a daemon heartbeat thread's ``heartbeat``/``resource`` gauges and one
+closing ``resource`` event per point travel with the results, and the
+dispatcher publishes them on its bus, the only writer of the JSONL
+stream.  The dispatcher also watches in-flight points: one exceeding
+``stall_factor x`` the rolling median is flagged as a straggler, and one
+exceeding the hard ``point_timeout`` is killed, re-dispatched up to
+``max_retries`` times, then recorded as errored — a hung worker can no
+longer hang the sweep.  ``REPRO_POINT_HANG`` plants
 such a hang for tests and CI, symmetric to ``REPRO_STAGE_DELAY``.
 """
 
@@ -50,6 +53,7 @@ import contextlib
 import multiprocessing
 import os
 import statistics
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -66,7 +70,6 @@ from repro.designs.base import DatapathDesign
 from repro.explore.cache import ResultCache
 from repro.explore.spec import SweepPoint, SweepSpec
 from repro.obs.logbridge import get_logger
-from repro.obs.manifest import peak_rss_bytes
 from repro.tech.library import TechLibrary
 
 log = get_logger("explore")
@@ -127,7 +130,7 @@ def _run_one(
     attempt: int = 0,
     hang_s: float = 0.0,
     trace: bool = False,
-    events: Optional[Dict] = None,
+    heartbeat_s: float = 0.0,
 ) -> Tuple[Optional[Dict], Optional[str], float, Optional[Dict]]:
     """Worker body: (metrics, error, elapsed_s, telemetry). Never raises.
 
@@ -136,24 +139,15 @@ def _run_one(
     and the picklable telemetry dict carries the serialized spans and
     counters back to the parent, which adopts them into its tracer.
 
-    ``events`` is the picklable telemetry-bus config
-    (``{path, run_id, heartbeat_s, parent_pid}``): inside a worker process it
-    opens a per-process file bus on the shared JSONL stream, in the parent
-    (serial sweeps, serial fallback) it reuses the active bus.  While the
-    point runs, a daemon thread emits ``heartbeat``/``resource`` events —
-    a hung-but-alive worker keeps beating, which is exactly how the stream
-    distinguishes *stuck* from *dead*.
+    Events go to :func:`repro.obs.current_bus`: the parent's bus in serial
+    sweeps, the worker's pipe-forwarding bus in worker processes.  While
+    the point runs, a daemon thread emits ``heartbeat``/``resource``
+    events every ``heartbeat_s`` seconds — a hung-but-alive worker keeps
+    beating, which is exactly how the stream distinguishes *stuck* from
+    *dead* — and the point ends with one ``resource`` event.
     """
     start = time.perf_counter()
-    bus = None
-    heartbeat_s = 0.0
-    if events is not None:
-        heartbeat_s = events.get("heartbeat_s") or 0.0
-        path = events.get("path")
-        if path and os.getpid() != events.get("parent_pid"):
-            bus = obs.worker_bus(path, events["run_id"])
-        else:
-            bus = obs.current_bus()
+    bus = obs.current_bus()
     tracer = obs.Tracer() if trace else None
     telemetry: Optional[Dict] = None
     try:
@@ -172,10 +166,10 @@ def _run_one(
         metrics, error = None, f"{type(exc).__name__}: {exc}"
     if tracer is not None:
         telemetry = {"spans": tracer.to_dicts(), "counters": dict(tracer.counters)}
+    elapsed = time.perf_counter() - start
     if bus is not None:
-        telemetry = dict(telemetry or {})
-        telemetry["peak_rss_bytes"] = peak_rss_bytes()
-    return metrics, error, time.perf_counter() - start, telemetry
+        bus.emit("resource", elapsed_s=round(elapsed, 6), **obs.sample_resources())
+    return metrics, error, elapsed, telemetry
 
 
 @dataclass
@@ -314,14 +308,12 @@ class _SweepMonitor:
         point_timeout: Optional[float] = None,
         stall_factor: Optional[float] = 4.0,
         max_retries: int = 1,
-        heartbeat_s: float = 1.0,
     ) -> None:
         self.points = points
         self.bus = bus
         self.point_timeout = point_timeout
         self.stall_factor = stall_factor
         self.max_retries = max(0, int(max_retries))
-        self.heartbeat_s = heartbeat_s
         self.hangs = _point_hangs()
         self.attempts: Dict[int, int] = {}
         self.durations: List[float] = []
@@ -329,7 +321,6 @@ class _SweepMonitor:
         self.stalls = 0
         self.retries = 0
         self.timeouts = 0
-        self.peak_rss_bytes: Optional[int] = None
         self._stall_flagged: Set[Tuple[int, int]] = set()
 
     # -- configuration ------------------------------------------------
@@ -338,20 +329,6 @@ class _SweepMonitor:
     def active(self) -> bool:
         """True when this run should produce an ``events_summary``."""
         return self.bus is not None or self.point_timeout is not None
-
-    def worker_events(self, parallel: bool) -> Optional[Dict]:
-        """The picklable bus config handed to ``_run_one`` workers."""
-        if self.bus is None:
-            return None
-        path = str(self.bus.path) if self.bus.path is not None else None
-        if parallel and path is None:
-            return None  # an in-memory bus cannot cross the process boundary
-        return {
-            "path": path,
-            "run_id": self.bus.run_id,
-            "heartbeat_s": self.heartbeat_s,
-            "parent_pid": os.getpid(),
-        }
 
     def submit_args(self, index: int) -> Tuple[int, float]:
         """Extra ``_run_one`` arguments: (attempt, planted hang seconds)."""
@@ -383,13 +360,7 @@ class _SweepMonitor:
         self._emit("point_end", ok=True, elapsed_s=0.0, **common)
 
     def on_result(self, index: int, raw: object) -> None:
-        metrics, error, elapsed, telemetry = raw
-        if telemetry:
-            rss = telemetry.get("peak_rss_bytes")
-            if isinstance(rss, int) and (
-                self.peak_rss_bytes is None or rss > self.peak_rss_bytes
-            ):
-                self.peak_rss_bytes = rss
+        metrics, error, elapsed, _telemetry = raw
         if error is None:
             self.durations.append(elapsed)
         attrs = dict(
@@ -402,8 +373,6 @@ class _SweepMonitor:
         )
         if error is not None:
             attrs["error"] = error
-        if telemetry and telemetry.get("peak_rss_bytes") is not None:
-            attrs["peak_rss_bytes"] = telemetry["peak_rss_bytes"]
         self._emit("point_end", **attrs)
 
     def on_retry(self, index: int, reason: str, elapsed_s: float = 0.0) -> None:
@@ -499,8 +468,8 @@ class _SweepMonitor:
             "worker_crashes": sum(self.crashes.values()),
             "worker_utilization": utilization,
         }
-        if self.peak_rss_bytes is not None:
-            summary["peak_rss_bytes"] = self.peak_rss_bytes
+        if self.bus is not None and self.bus.peak_rss_bytes is not None:
+            summary["peak_rss_bytes"] = self.bus.peak_rss_bytes
         return summary
 
 
@@ -520,25 +489,46 @@ def _run_serial(
             report(index, worker(item))
 
 
-def _worker_main(conn: Connection, worker: Worker) -> None:
+def _worker_main(conn: Connection, worker: Worker, run_id: Optional[str]) -> None:
     """Worker process body: run one item per message until the ``None``
     sentinel.
 
-    The sentinel, not EOF, ends the loop: workers forked later inherit
-    this worker's parent-end handle, so closing it in the parent alone
-    would never reach EOF here.
+    Every message up the pipe is ``("result", value)`` or, when the
+    dispatcher has a bus (``run_id``), ``("event", event)`` from this
+    process's own bus; one lock keeps the heartbeat thread's events and
+    the main thread's results whole.  The sentinel, not EOF, ends the
+    loop: workers forked later inherit this worker's parent-end handle,
+    so closing it in the parent alone would never reach EOF here.
     """
-    while True:
-        args = conn.recv()
-        if args is None:
-            return
-        conn.send(worker(*args))
+    lock = threading.Lock()
+
+    def send(tag: str, payload: object) -> None:
+        with lock:
+            conn.send((tag, payload))
+
+    bus = None
+    if run_id is not None:
+        bus = obs.EventBus(run_id=run_id)
+        bus.subscribe(partial(send, "event"))
+    with obs.eventing(bus):
+        while True:
+            args = conn.recv()
+            if args is None:
+                return
+            send("result", worker(*args))
 
 
 def _start_worker(worker: Worker) -> Tuple[multiprocessing.Process, Connection]:
-    """Start one worker process; return it with the parent's pipe end."""
+    """Start one worker process; return it with the parent's pipe end.
+
+    The worker forwards events when the dispatcher has an active bus.
+    """
+    bus = obs.current_bus()
     conn, child_conn = multiprocessing.Pipe()
-    process = multiprocessing.Process(target=_worker_main, args=(child_conn, worker))
+    process = multiprocessing.Process(
+        target=_worker_main,
+        args=(child_conn, worker, bus.run_id if bus is not None else None),
+    )
     process.start()
     # the parent keeps only its end, so the worker's death reads as EOF
     child_conn.close()
@@ -555,8 +545,9 @@ def _run_parallel(
     """Run pending items on ``jobs`` worker processes; True if any serial
     fallback ran.
 
-    Each worker has its own pipe and holds at most one item, and results
-    are reported as they arrive.  A worker that dies (EOF on its pipe) is
+    Each worker has its own pipe and holds at most one item; results are
+    reported, and the events a worker forwards published on the active
+    bus, as they arrive.  A worker that dies (EOF on its pipe) is
     charged with exactly its one item: a fresh worker is started and the
     item re-dispatched; at ``_MAX_CRASHES_PER_POINT`` crashes the item is
     reported as the monitor's synthesized error result, or, without a
@@ -570,6 +561,7 @@ def _run_parallel(
     stopped.
     """
     queue = deque(pending)
+    bus = obs.current_bus()
     workers: Dict[Connection, multiprocessing.Process] = {}
     busy: Dict[Connection, Tuple[int, object, float]] = {}  # index, item, since
     crashes = monitor.crashes if monitor is not None else {}
@@ -618,10 +610,10 @@ def _run_parallel(
             ready = wait(list(busy), timeout=tick)
             now = time.perf_counter()
             for conn in ready:
-                index, item, _since = busy.pop(conn)
                 try:
-                    raw = conn.recv()
+                    tag, payload = conn.recv()
                 except (EOFError, OSError):
+                    index, item, _since = busy.pop(conn)
                     replace(conn)
                     crashes[index] = crashes.get(index, 0) + 1
                     if crashes[index] < _MAX_CRASHES_PER_POINT:
@@ -631,11 +623,15 @@ def _run_parallel(
                     else:
                         give_up(index)
                     continue
+                if tag == "event":  # a worker has a bus only if we do
+                    bus.publish(payload)
+                    continue
+                index, _item, _since = busy.pop(conn)
                 # the next item goes out before report() (cache write,
                 # progress) runs, so the worker never idles on the parent
                 if queue:
                     dispatch(conn, *queue.popleft())
-                finish(index, raw)
+                finish(index, payload)
             if tick is None:
                 continue
             for conn, (index, item, since) in list(busy.items()):
@@ -747,8 +743,8 @@ def run_sweep(
 
     When a :class:`repro.obs.EventBus` is active (see
     :func:`repro.obs.eventing`), the sweep streams live
-    ``point_start``/``point_end``/``stall``/``retry`` events and workers
-    append ``heartbeat``/``resource`` gauges; the roll-up lands in
+    ``point_start``/``point_end``/``stall``/``retry`` events and the
+    workers' ``heartbeat``/``resource`` gauges on it; the roll-up lands in
     ``SweepResult.events_summary`` and on ``obs.counter`` metrics
     (``events.stalls`` / ``events.retries``) for the regression sentinel.
     """
@@ -757,14 +753,12 @@ def run_sweep(
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
     tracer = obs.current_tracer()
-    bus = obs.current_bus()
     monitor = _SweepMonitor(
         points,
-        bus,
+        obs.current_bus(),
         point_timeout=point_timeout,
         stall_factor=stall_factor,
         max_retries=max_retries,
-        heartbeat_s=heartbeat_s,
     )
 
     outcomes: Dict[int, PointOutcome] = {}
@@ -816,9 +810,7 @@ def run_sweep(
         used_fallback = False
         effective_jobs = max(1, min(jobs, len(pending))) if pending else 1
         worker = partial(
-            _run_one,
-            trace=tracer is not None,
-            events=monitor.worker_events(parallel=effective_jobs > 1),
+            _run_one, trace=tracer is not None, heartbeat_s=heartbeat_s
         )
         if pending:
             if effective_jobs > 1:
@@ -842,6 +834,4 @@ def run_sweep(
         # runs' history records keep their historic counter set
         obs.counter("events.stalls", monitor.stalls)
         obs.counter("events.retries", monitor.retries)
-        if bus is not None:
-            bus.annotate(**result.events_summary)
     return result

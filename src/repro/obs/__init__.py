@@ -64,7 +64,6 @@ __getattr__, __dir__ = lazy_exports(
             "new_run_id",
             "point_heartbeat",
             "validate_event_obj",
-            "worker_bus",
         ),
         "repro.obs.history": (
             "HistoryStore",
@@ -72,10 +71,8 @@ __getattr__, __dir__ = lazy_exports(
             "Thresholds",
             "build_record",
             "check_history",
-            "current_recorder",
             "diff_records",
             "gating_findings",
-            "recording",
             "render_findings",
             "select_baseline",
             "validate_record",
@@ -127,7 +124,6 @@ __all__ = [
     "counter",
     "cpu_seconds",
     "current_bus",
-    "current_recorder",
     "current_tracer",
     "diff_records",
     "disabled",
@@ -142,7 +138,6 @@ __all__ = [
     "peak_rss_bytes",
     "point_heartbeat",
     "profile_rows",
-    "recording",
     "rss_bytes",
     "sample_resources",
     "render_dashboard",
@@ -158,7 +153,6 @@ __all__ = [
     "validate_event_obj",
     "validate_record",
     "validate_trace_obj",
-    "worker_bus",
     "write_chrome_trace",
     "write_dashboard",
     "write_flamegraph",

@@ -4,9 +4,13 @@ Where the tracer (:mod:`repro.obs.tracer`) answers *"what happened?"*
 after a run, the event bus answers *"what is happening?"* while it runs.
 An :class:`EventBus` multiplexes small structured events to an
 append-only JSONL file and to in-process subscribers (the live progress
-renderer, tests); sweep workers in other processes append to the same
-file through their own :func:`worker_bus`, so one ``events.jsonl``
-interleaves the whole fleet and ``repro obs tail`` can follow it live.
+renderer, tests).  The bus of the process that dispatches a sweep is
+the only writer of the file: a sweep worker emits on its own in-memory
+bus, whose one subscriber sends each event up the worker's result pipe,
+and the dispatcher :meth:`~EventBus.publish`-es it on its bus unchanged
+(worker ``pid`` and ``seq`` kept), so one ``events.jsonl`` interleaves the whole
+fleet, in-memory subscribers see it too, and ``repro obs tail`` can
+follow it live.
 
 Schema (``repro.obs.events`` v1) — one JSON object per line::
 
@@ -35,9 +39,11 @@ disk), a repeat or regression means two emitters shared a pid.  Kinds:
 Like the tracer, the bus follows the ``_ACTIVE``-global pattern:
 :func:`emit_event` is a no-op dict-lookup-and-return when no bus is
 installed, so instrumented code paths cost nothing in normal runs.
-File appends are a single ``os.write`` on an ``O_APPEND`` descriptor —
-atomic for lines under ``PIPE_BUF``, so a killed worker can tear at most
-its own unflushed line, never interleave bytes into another pid's line.
+Each line is one ``os.write`` made under the bus lock by the one writing
+process, so lines never interleave; a process killed mid-write can tear
+only the final line, which :func:`load_events` reports as a problem.
+A worker killed mid-point loses only the events still in its pipe, the
+tail of its own ``seq`` stream, never a line of another pid.
 """
 
 from __future__ import annotations
@@ -103,11 +109,12 @@ class EventBus:
         renderer work without touching disk.
     run_id:
         Identifier stamped on every event; generated when omitted.  Worker
-        buses reuse the driver's id so one file holds one logical run.
+        buses reuse the parent's id so forwarded events join its run.
 
-    ``emit`` is thread-safe (heartbeat threads share the bus with the main
-    thread); subscriber exceptions are logged and swallowed so a broken
-    renderer can never corrupt a sweep.
+    ``emit`` and ``publish`` are thread-safe (heartbeat threads share the
+    bus with the main thread) and reach the file and the subscribers in
+    ``seq`` order; subscriber exceptions are logged and swallowed so a
+    broken renderer can never corrupt a sweep.
     """
 
     def __init__(
@@ -123,21 +130,17 @@ class EventBus:
             self._fd = os.open(
                 str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
-        self._lock = threading.Lock()
+        # re-entrant: emit() stamps seq and publishes under one hold
+        self._lock = threading.RLock()
         self._seq = 0
         self._subscribers: List[Callable[[dict], None]] = []
         self.counts: Dict[str, int] = {}
         self.peak_rss_bytes: Optional[int] = None
-        self._annotations: Dict[str, object] = {}
 
     # -- subscribers --------------------------------------------------
 
     def subscribe(self, fn: Callable[[dict], None]) -> None:
         self._subscribers.append(fn)
-
-    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
-        with contextlib.suppress(ValueError):
-            self._subscribers.remove(fn)
 
     # -- emission -----------------------------------------------------
 
@@ -155,7 +158,19 @@ class EventBus:
         with self._lock:
             event["seq"] = self._seq
             self._seq += 1
+            self.publish(event)
+        return event
+
+    def publish(self, event: dict) -> None:
+        """Count, write and fan out one finished event.
+
+        :meth:`emit` lands here; so do the events a sweep worker's bus
+        sent up its pipe, which keep their own ``pid`` and ``seq``.
+        """
+        with self._lock:
+            kind = event["kind"]
             self.counts[kind] = self.counts.get(kind, 0) + 1
+            attrs = event["attrs"]
             rss = attrs.get("peak_rss_bytes") or attrs.get("rss_bytes")
             if isinstance(rss, int) and (
                 self.peak_rss_bytes is None or rss > self.peak_rss_bytes
@@ -167,21 +182,13 @@ class EventBus:
                     os.write(self._fd, line.encode("utf-8"))
                 except OSError as exc:  # full disk must not kill the sweep
                     log.warning("event write failed: %s", exc)
-        for fn in list(self._subscribers):
-            try:
-                fn(event)
-            except Exception as exc:
-                log.warning("event subscriber %r failed: %s", fn, exc)
-        return event
+            for fn in list(self._subscribers):
+                try:
+                    fn(event)
+                except Exception as exc:
+                    log.warning("event subscriber %r failed: %s", fn, exc)
 
     # -- bookkeeping --------------------------------------------------
-
-    def annotate(self, **facts) -> None:
-        """Attach run-level facts (worker utilization, cache hits) to
-        :meth:`summary` without emitting an event."""
-        self._annotations.update(
-            {key: _json_safe(value) for key, value in facts.items()}
-        )
 
     def summary(self) -> Dict[str, object]:
         """Deterministic roll-up for the run-history record."""
@@ -194,7 +201,6 @@ class EventBus:
         }
         if self.peak_rss_bytes is not None:
             out["peak_rss_bytes"] = self.peak_rss_bytes
-        out.update(self._annotations)
         return out
 
     def close(self) -> None:
@@ -240,28 +246,6 @@ def emit_event(kind: str, **attrs) -> Optional[dict]:
     if bus is None:
         return None
     return bus.emit(kind, **attrs)
-
-
-# -- worker-side bus --------------------------------------------------
-
-_WORKER_BUS: Optional[EventBus] = None
-
-
-def worker_bus(path: Union[str, Path], run_id: str) -> EventBus:
-    """The per-process file-only bus used inside sweep worker processes.
-
-    Cached in a module global keyed by ``(path, run_id)`` so a worker
-    process reused for many points keeps one strictly-monotone ``seq``
-    stream; a replacement worker is a fresh process with a fresh bus.
-    """
-    global _WORKER_BUS
-    bus = _WORKER_BUS
-    if bus is not None and bus.path == Path(path) and bus.run_id == run_id:
-        return bus
-    if bus is not None:
-        bus.close()
-    _WORKER_BUS = EventBus(path=path, run_id=run_id)
-    return _WORKER_BUS
 
 
 @contextlib.contextmanager

@@ -18,11 +18,11 @@ configurable :class:`Thresholds`.  :func:`check_history` is the CLI-facing
 wrapper behind ``repro-datapath obs check``.
 
 Recording is decoupled from the flow layer through :class:`RunRecorder`:
-the CLI installs one with :func:`recording` (mirroring the tracer's
-module-global pattern), command implementations feed it metric dicts and
-cache keys as they produce them, and the driver appends the assembled
-record on the way out — including for failed runs, whose ``status`` lets
-the sentinel and the dashboard distinguish them.
+the CLI creates one per ``--history`` run and hands it to the
+command, which feeds it metric dicts and cache keys as it produces them,
+and the CLI appends the assembled record on the way out — including
+for failed runs, whose ``status`` lets the sentinel and the dashboard
+distinguish them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import json
 import os
 import statistics
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
@@ -442,11 +441,10 @@ class HistoryStore:
 class RunRecorder:
     """Collector of one CLI run's history material (QoR, keys, extras).
 
-    Installed process-wide with :func:`recording`; command implementations
-    call :func:`current_recorder` and feed it as results materialize, so
-    the flow layer needs no knowledge of the store.  The grouping ``key``
-    is the config cache key when the run describes exactly one
-    configuration, otherwise a digest over every contributed key part —
+    The CLI passes it to the command, which feeds it as results
+    materialize, so the flow layer needs no knowledge of the store.  The
+    grouping ``key`` is the config cache key when the run describes exactly
+    one configuration, otherwise a digest over every contributed key part —
     identical invocations always land in the same baseline group.
     """
 
@@ -512,30 +510,6 @@ class RunRecorder:
             manifest=manifest,
             extra=self.extra,
         )
-
-
-#: the process-wide active recorder (None = no history collection)
-_RECORDER: Optional[RunRecorder] = None
-
-
-def current_recorder() -> Optional[RunRecorder]:
-    """The active :class:`RunRecorder`, or ``None`` when history is off."""
-    return _RECORDER
-
-
-@contextmanager
-def recording(recorder: Optional[RunRecorder]):
-    """Install ``recorder`` for the ``with`` body (``None`` = no-op)."""
-    global _RECORDER
-    if recorder is None:
-        yield _RECORDER
-        return
-    previous = _RECORDER
-    _RECORDER = recorder
-    try:
-        yield recorder
-    finally:
-        _RECORDER = previous
 
 
 # ------------------------------------------------------------- sentinel

@@ -11,9 +11,9 @@ no timings in the cells that matter for eyeballing diffs).
 
 The renderer is deliberately dumb about *sources*: it reacts only to
 events, so it works identically for serial sweeps (events from the main
-pid) and parallel ones (dispatcher events; worker heartbeats arrive via
-the file, not in-process, and are simply never seen — the dispatcher's
-own events carry all state the line needs).
+pid) and parallel ones (dispatcher events, plus the workers' heartbeats
+and gauges, which the dispatcher publishes on the same bus; the
+dispatcher's own events carry all state the line needs).
 """
 
 from __future__ import annotations

@@ -66,10 +66,11 @@ def sample_resources() -> Dict[str, object]:
 class ResourceSampler:
     """Daemon thread emitting periodic ``resource`` events on a bus.
 
-    The CLI starts one per evented run; sweep workers fold the same
-    snapshots into their heartbeats instead (see
-    :func:`repro.obs.events.point_heartbeat`), so every pid in the event
-    stream carries gauges.
+    The CLI starts one per evented run on its bus; sweep workers
+    send the same snapshots with their heartbeats and at the end of each
+    point (see :func:`repro.obs.events.point_heartbeat`) up their pipes,
+    and the sweep's parent publishes them, so every pid in the event stream
+    carries gauges.
     """
 
     def __init__(self, bus, interval: float = 1.0) -> None:

@@ -3,26 +3,27 @@
 Unlike :mod:`repro.sim.equivalence` (netlist vs. word-level expression),
 this checker compares two *netlists* bit-for-bit on every primary output —
 the contract every optimization pass must preserve.  Each netlist is
-compiled once into a :class:`repro.sim.program.SimProgram` and the program
-is replayed for every chunk, with the input stimulus built directly in
-packed form (exhaustive patterns are periodic bit masks, random ones a
-``getrandbits`` word per input) so no per-vector dicts — and no per-chunk
-topological re-sorts — are ever materialized.  Up to
-``exhaustive_width_limit`` primary-input bits the check tries every input
-combination, above it a seeded random sample is used.  Vectors are
-processed in power-of-two chunks so exhaustive checks of ~20 input bits
-stay within bounded memory.
+compiled once into a :class:`repro.sim.program.SimProgram` (memoized per
+netlist generation) and the check runs on the programs
+(:func:`check_programs_equivalent`), replaying them for every chunk, with
+the input stimulus built directly in packed form (exhaustive patterns are
+periodic bit masks, random ones a ``getrandbits`` word per input) so no
+per-vector dicts — and no per-chunk topological re-sorts — are ever
+materialized.  Up to ``exhaustive_width_limit`` primary-input bits the
+check tries every input combination, above it a seeded random sample is
+used.  Vectors are processed in power-of-two chunks so exhaustive checks
+of ~20 input bits stay within bounded memory.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import OptimizationError
 from repro.netlist.core import Netlist
-from repro.sim.program import cached_program
+from repro.sim.program import SimProgram, cached_program
 
 
 @dataclass
@@ -78,6 +79,16 @@ def _packed_exhaustive_chunk(
     return words
 
 
+def compiled_reference(netlist: Netlist) -> Tuple[SimProgram, List[str]]:
+    """The netlist's compiled program and primary-output names.
+
+    That is all an equivalence check reads of a netlist, and the program
+    outlives later rewrites of the netlist, so the pair stands in for a
+    copy of the netlist's current state.
+    """
+    return cached_program(netlist), [net.name for net in netlist.primary_outputs]
+
+
 def check_netlists_equivalent(
     reference: Netlist,
     candidate: Netlist,
@@ -90,21 +101,50 @@ def check_netlists_equivalent(
     """Check that ``candidate`` matches ``reference`` on every primary output.
 
     Both netlists must expose identical primary input and primary output net
-    names (the optimizer preserves both).  With at most
+    names (the optimizer preserves both).  The check runs on their compiled
+    programs (see :func:`check_programs_equivalent`).
+    """
+    return check_programs_equivalent(
+        *compiled_reference(reference),
+        *compiled_reference(candidate),
+        exhaustive_width_limit,
+        random_vector_count,
+        seed,
+        chunk_size,
+        max_mismatches,
+    )
+
+
+def check_programs_equivalent(
+    reference: SimProgram,
+    reference_outputs: Sequence[str],
+    candidate: SimProgram,
+    candidate_outputs: Sequence[str],
+    exhaustive_width_limit: int = 18,
+    random_vector_count: int = 512,
+    seed: int = 2000,
+    chunk_size: int = 8192,
+    max_mismatches: int = 5,
+) -> NetlistEquivalenceReport:
+    """Check that ``candidate`` matches ``reference`` on the named outputs.
+
+    The arguments come in :func:`compiled_reference` pairs.  Both programs
+    must read identical primary-input names and the output name lists
+    must hold the same names.  With at most
     ``exhaustive_width_limit`` primary-input bits every combination is
     checked; otherwise ``random_vector_count`` seeded random vectors are
     used.  Evaluation happens in ``chunk_size`` batches (rounded down to a
-    power of two) through the bit-parallel evaluator, with the stimulus
-    built directly as packed words.
+    power of two) of program replays, with the stimulus built directly as
+    packed words.
     """
-    ref_pis = [net.name for net in reference.primary_inputs]
-    cand_pis = {net.name for net in candidate.primary_inputs}
+    ref_pis = [name for name, _slot in reference.pi_slots]
+    cand_pis = {name for name, _slot in candidate.pi_slots}
     if set(ref_pis) != cand_pis:
         raise OptimizationError(
             f"primary inputs differ: {sorted(set(ref_pis) ^ cand_pis)}"
         )
-    ref_pos = [net.name for net in reference.primary_outputs]
-    cand_pos = {net.name for net in candidate.primary_outputs}
+    ref_pos = list(reference_outputs)
+    cand_pos = set(candidate_outputs)
     if set(ref_pos) != cand_pos:
         raise OptimizationError(
             f"primary outputs differ: {sorted(set(ref_pos) ^ cand_pos)}"
@@ -117,11 +157,8 @@ def check_netlists_equivalent(
     chunk_size = 1 << (max(1, chunk_size).bit_length() - 1)
     rng = random.Random(seed)
 
-    # compile both netlists once; every chunk below is a straight replay
-    ref_program = cached_program(reference)
-    cand_program = cached_program(candidate)
-    ref_po_slots = [ref_program.slot_of[po] for po in ref_pos]
-    cand_po_slots = [cand_program.slot_of[po] for po in ref_pos]
+    ref_po_slots = [reference.slot_of[po] for po in ref_pos]
+    cand_po_slots = [candidate.slot_of[po] for po in ref_pos]
 
     mismatches: List[Dict[str, object]] = []
     checked = 0
@@ -132,8 +169,8 @@ def check_netlists_equivalent(
         else:
             words = {name: rng.getrandbits(count) for name in ref_pis}
         mask = (1 << count) - 1
-        ref_slots = ref_program.run_packed(words, mask)
-        cand_slots = cand_program.run_packed(words, mask)
+        ref_slots = reference.run_packed(words, mask)
+        cand_slots = candidate.run_packed(words, mask)
         checked += count
         for po, ref_slot, cand_slot in zip(ref_pos, ref_po_slots, cand_po_slots):
             ref_word = ref_slots[ref_slot]

@@ -3,9 +3,9 @@
 ``PassManager`` runs a pipeline of :class:`~repro.opt.base.RewritePass`
 instances over a netlist until no pass reports a rewrite (or the iteration
 budget runs out), optionally validating structural invariants after every
-pass (debug mode) and checking functional equivalence against a snapshot of
-the pre-optimization netlist — either once at the end or after every single
-pass.
+pass (debug mode) and checking functional equivalence against the compiled
+simulation program of the pre-optimization netlist — either once at the
+end or after every single pass.
 
 ``optimize_netlist`` is the front door used by the synthesis flow and the
 CLI: it maps an ``-O`` level to the standard pipeline, runs it and returns
@@ -24,7 +24,7 @@ Optimization levels
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.errors import OptimizationError
@@ -36,7 +36,7 @@ from repro.opt.cleanup import CleanupPass
 from repro.opt.constant_fold import ConstantFoldPass
 from repro.opt.cse import CommonSubexpressionPass
 from repro.opt.dce import DeadCellEliminationPass
-from repro.opt.equivalence import check_netlists_equivalent
+from repro.opt.equivalence import check_programs_equivalent, compiled_reference
 from repro.opt.levels import OPT_LEVEL_HELP, OPT_LEVELS  # noqa: F401  (re-exported)
 from repro.opt.report import OptReport, PassStat
 from repro.opt.strength import StrengthReductionPass
@@ -91,7 +91,7 @@ class PassManager:
         of re-propagating only the rewritten cones.
     exhaustive_width_limit / random_vector_count / seed:
         Forwarded to
-        :func:`repro.opt.equivalence.check_netlists_equivalent`.
+        :func:`repro.opt.equivalence.check_programs_equivalent`.
     """
 
     def __init__(
@@ -122,10 +122,10 @@ class PassManager:
         self.seed = seed
         self.opt_level = opt_level
 
-    def _check(self, reference: Netlist, netlist: Netlist, context: str):
-        report = check_netlists_equivalent(
-            reference,
-            netlist,
+    def _check(self, reference: Tuple, netlist: Netlist, context: str):
+        report = check_programs_equivalent(
+            *reference,
+            *compiled_reference(netlist),
             exhaustive_width_limit=self.exhaustive_width_limit,
             random_vector_count=self.random_vector_count,
             seed=self.seed,
@@ -142,10 +142,8 @@ class PassManager:
         start = time.perf_counter()
         with obs.span("opt.stats"):
             before = cached_stats(netlist, self.library)
-        reference: Optional[Netlist] = None
-        if self.check_equivalence:
-            with obs.span("opt.snapshot", cells=netlist.num_cells()):
-                reference = netlist.copy(name=f"{netlist.name}_preopt")
+        # the compiled program outlives the rewrites below, so it is the reference
+        reference = compiled_reference(netlist) if self.check_equivalence else None
 
         timing = None
         if self.timing_library is not None:

@@ -167,13 +167,15 @@ def cached_program(netlist: Netlist) -> SimProgram:
     :attr:`~Netlist.generation`; any structural mutation bumps the counter
     and forces a fresh compile on next use.  Emits ``sim.program_cache_hits``
     / ``sim.program_compiles`` obs counters so benchmarks can assert the
-    compile cost is amortized across replays.
+    compile cost is amortized across replays, and times each compile in a
+    ``sim.compile`` span.
     """
     program = getattr(netlist, "_sim_program", None)
     if program is not None and program.generation == netlist.generation:
         obs.counter("sim.program_cache_hits")
         return program
-    program = compile_netlist_program(netlist)
+    with obs.span("sim.compile", cells=netlist.num_cells()):
+        program = compile_netlist_program(netlist)
     netlist._sim_program = program
     obs.counter("sim.program_compiles")
     return program

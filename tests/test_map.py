@@ -283,6 +283,15 @@ class TestOneSweep:
             )
             assert rewrites == [0, 0, 0], (design, target, objective, opt_level, method)
 
+    def test_map_checks_against_the_optimized_program(self):
+        """The map stage's equivalence reference is the program the optimize
+        stage's check compiled: one compile per distinct netlist state."""
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            _synth(target_lib="nand2_basis", opt_level=2)
+        assert tracer.counters["sim.program_compiles"] == 3  # pre-opt, opt, mapped
+        assert tracer.counters["sim.program_cache_hits"] == 1
+
     def test_every_map_sub_step_nests_under_map_netlist(self):
         tracer = obs.Tracer()
         with obs.tracing(tracer):
@@ -293,7 +302,7 @@ class TestOneSweep:
         assert children == [
             "map.before",
             "opt.stats",
-            "opt.snapshot",
+            "sim.compile",  # the -O0 netlist's program: the check's reference
             "opt.tech-map",
             "opt.buf-not-cleanup",
             "opt.dce",

@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -162,17 +163,32 @@ class TestEventBus:
         bus.emit("heartbeat")
         assert len(seen) == 1  # later subscribers still ran
 
-    def test_summary_counts_and_annotations(self):
+    def test_summary_counts_and_peak_rss(self):
         bus = obs.EventBus()
         bus.emit("stall")
         bus.emit("retry")
         bus.emit("resource", rss_bytes=123456)
-        bus.annotate(worker_utilization=0.5)
         summary = bus.summary()
         assert summary["stalls"] == 1 and summary["retries"] == 1
         assert summary["events"] == 3
         assert summary["peak_rss_bytes"] == 123456
-        assert summary["worker_utilization"] == 0.5
+
+    def test_publish_keeps_a_forwarded_event_unchanged(self, tmp_path):
+        worker_bus = obs.EventBus(run_id="r1")
+        forwarded = [worker_bus.emit("heartbeat") for _ in range(2)]
+        forwarded = [dict(event, pid=4242) for event in forwarded]
+        bus = obs.EventBus(path=tmp_path / "events.jsonl", run_id="r1")
+        seen = []
+        bus.subscribe(seen.append)
+        bus.emit("run_start")
+        for event in forwarded:
+            bus.publish(event)
+        bus.close()
+        events, problems = obs.load_events(tmp_path / "events.jsonl")
+        assert problems == [] and events == seen
+        assert [(e["pid"], e["seq"]) for e in events[1:]] == [(4242, 0), (4242, 1)]
+        assert bus.counts == {"run_start": 1, "heartbeat": 2}
+        assert obs.check_event_stream(events) == []
 
     def test_emit_event_is_noop_without_bus(self):
         assert obs.current_bus() is None
@@ -323,6 +339,42 @@ class TestParallelTelemetry:
             resources = [e for e in events if e["kind"] == "resource"]
             assert resources, "heartbeating workers emitted no resource gauges"
 
+    def test_worker_events_reach_an_in_memory_bus(self, monkeypatch):
+        """Worker heartbeats ride the pipe, so a bus without a file (``--live``
+        alone) sees them too, with the workers' own pids and seq streams."""
+        monkeypatch.setenv(POINT_HANG_ENV, "0=0.4,1=0.4")
+        sweep, events = _evented_sweep(jobs=2, heartbeat_s=0.05)
+        assert sweep.ok
+        if sweep.used_fallback:
+            pytest.skip("pool fell back to serial; no worker processes")
+        assert obs.check_event_stream(events) == []
+        for kind in ("heartbeat", "resource"):
+            pids = {e["pid"] for e in events if e["kind"] == kind}
+            assert pids - {os.getpid()}, f"no {kind} event from a worker"
+
+    def test_worker_pipe_keeps_events_and_results_whole(self):
+        """A worker thread sends large events while the main thread sends
+        its result up the same pipe: every message must arrive whole, and
+        every worker's stream in order."""
+        points = [SweepPoint(design="x2", method="fa_aot")] * 32
+        bus = obs.EventBus()
+        events = []
+        bus.subscribe(events.append)
+        got = {}
+        with obs.eventing(bus):
+            used_fallback = _run_parallel(
+                _chatty_worker,
+                list(enumerate(range(32))),
+                4,
+                got.__setitem__,
+                _SweepMonitor(points, bus),
+            )
+        assert not used_fallback
+        assert got == {i: (i, None, 0.0, {"pad": "y" * 20000}) for i in range(32)}
+        assert obs.check_event_stream(events) == []
+        beats = [e for e in events if e["kind"] == "heartbeat"]
+        assert beats and all(len(e["attrs"]["pad"]) == 20000 for e in beats)
+
     def test_hang_produces_stall_retry_and_completion(self, monkeypatch):
         monkeypatch.setenv(POINT_HANG_ENV, "0=5")
         bus = obs.EventBus()
@@ -372,6 +424,17 @@ def _crash_once_worker(item):
         open(marker, "w").close()
         os._exit(1)  # hard worker death: EOF on its pipe in the parent
     return value * 10
+
+
+def _chatty_worker(item, attempt=0, hang_s=0.0):
+    bus = obs.current_bus()
+
+    def chatter():
+        for _ in range(50):  # 20 kB messages: each send is several writes
+            bus.emit("heartbeat", item=item, pad="x" * 20000)
+
+    threading.Thread(target=chatter, daemon=True).start()
+    return (item, None, 0.0, {"pad": "y" * 20000})
 
 
 def _always_crash_worker(item, attempt=0, hang_s=0.0):

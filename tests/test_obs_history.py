@@ -47,9 +47,6 @@ def _no_ambient_tracer():
 def _no_ambient_history(monkeypatch):
     """Tests assume no history store unless they opt in."""
     monkeypatch.delenv(HISTORY_ENV, raising=False)
-    assert obs.current_recorder() is None
-    yield
-    assert obs.current_recorder() is None
 
 
 def make_record(
@@ -208,17 +205,6 @@ class TestRunRecorder:
         labels = sorted(recorder.qor)
         assert len(labels) == 2
         assert labels[1].endswith("#2")
-
-    def test_recording_context_installs_and_restores(self):
-        recorder = obs.RunRecorder("synth")
-        assert obs.current_recorder() is None
-        with obs.recording(recorder) as active:
-            assert active is recorder
-            assert obs.current_recorder() is recorder
-            with obs.recording(None):
-                # None = no-op context, recorder stays active
-                assert obs.current_recorder() is recorder
-        assert obs.current_recorder() is None
 
     def test_build_produces_valid_record(self):
         recorder = obs.RunRecorder("synth")
@@ -569,6 +555,22 @@ class TestCLIHistory:
         assert records[0]["key"].startswith("explore:")
         assert len(records[0]["qor"]) == 2  # one series per sweep point
         assert main(["obs", "check", "--history", str(history), "--all"]) == 0
+
+    def test_evented_explore_records_one_events_summary(self, tmp_path):
+        history = tmp_path / "h"
+        assert main([
+            "explore", "--designs", "x2", "--methods", "fa_aot", "wallace",
+            "--jobs", "2", "--events", str(tmp_path / "ev"),
+            "--history", str(history), "--log-level", "error",
+        ]) == 0
+        (record,) = obs.HistoryStore(history).records()
+        summary = record["extra"]["events_summary"]
+        assert sorted(summary) == [
+            "by_kind", "cache_hits", "cache_misses", "events", "peak_rss_bytes",
+            "points", "retries", "run_id", "stalls", "timeouts",
+            "worker_crashes", "worker_utilization",
+        ]
+        assert summary["points"] == 2 and summary["cache_misses"] == 2
 
     def test_obs_report_cli(self, tmp_path):
         history = tmp_path / "h"

@@ -6,17 +6,19 @@ Two families of properties:
   every allocation method produces a netlist computing the expression modulo
   2**W;
 * optimization dominance — for random arrival/probability profiles, FA_AOT's
-  final-adder worst input arrival never exceeds that of the arrival-blind
-  reducers, and FA_ALP's tree switching energy never exceeds FA_random's by
-  more than a small tolerance (FA_ALP is a heuristic, but it must never be
-  *badly* beaten by random selection — the paper's "very low risk" claim).
+  final-adder worst input arrival never exceeds the arrival-blind Wallace
+  reducer's by more than one FA sum delay (not even uniform arrivals make
+  it dominant), and FA_ALP's tree switching energy never exceeds
+  FA_random's by more than a small tolerance (FA_ALP is a heuristic, but
+  it must never be *badly* beaten by random selection — the paper's "very
+  low risk" claim).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.adders.factory import build_final_adder
 from repro.baselines.wallace import wallace_reduce
@@ -111,32 +113,24 @@ class TestFunctionalEquivalence:
 
 class TestOptimizationDominance:
     @given(small_expressions(), signal_profiles())
-    @settings(max_examples=20, deadline=None)
-    def test_fa_aot_dominates_wallace_on_uniform_arrivals(self, expression, signals):
-        # with every input arriving at time zero the earliest-first pairing
-        # of FA_AOT never loses to the arrival-blind Wallace staging
-        signals = {
-            name: SignalSpec(
-                spec.name, spec.width, arrival=0.0, probability=spec.probability
-            )
-            for name, spec in signals.items()
-        }
-        model = FADelayModel(2.0, 1.0)
-        build_a = build_addend_matrix(expression, signals, 8)
-        build_b = build_addend_matrix(expression, signals, 8)
-        aot = fa_aot(build_a.netlist, build_a.matrix, model)
-        wallace = wallace_reduce(build_b.netlist, build_b.matrix, model)
-        assert aot.max_final_arrival <= wallace.max_final_arrival + 1e-9
-
-    @given(small_expressions(), signal_profiles())
+    @example(
+        # even with every input arriving at time zero FA_AOT can lose to
+        # Wallace: 8.06 against 7.21, inside the Ds bound
+        ((Const(3) - Var("a")) * Var("a") + Const(0)) * Const(7),
+        {
+            name: SignalSpec(name, 3 if name == "a" else 1, arrival=0.0)
+            for name in VARIABLES
+        },
+    )
     @settings(max_examples=20, deadline=None)
     def test_fa_aot_never_much_worse_than_wallace_on_skewed_arrivals(
         self, expression, signals
     ):
-        # with skewed input arrivals the greedy per-column pairing is a
-        # heuristic, not an optimum: cross-column carries can cost it up to
-        # about one FA sum level against a lucky Wallace staging, so the
-        # property bounds the loss by Ds instead of demanding dominance
+        # the greedy per-column pairing is a heuristic, not an optimum:
+        # cross-column carries can cost it up to about one FA sum level
+        # against a lucky Wallace staging, with skewed arrivals and with
+        # uniform ones alike, so the property bounds the loss by Ds
+        # instead of demanding dominance
         model = FADelayModel(2.0, 1.0)
         build_a = build_addend_matrix(expression, signals, 8)
         build_b = build_addend_matrix(expression, signals, 8)
